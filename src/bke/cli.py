@@ -316,9 +316,9 @@ def _cmd_finetune(cfg: dict) -> int:
         raise ConfigError(f"{split_path(cfg['data'])}: split has no test indices")
     split = _subsample_split(container, split, cfg["fraction"], cfg["seed"])
     config = _bke_config(cfg)
+    bundle, history, report = finetune(container, split, cfg["checkpoint"], config)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundle, history, report = finetune(container, split, cfg["checkpoint"], config)
     save_checkpoint(bundle, out_dir / "model.bkec")
     write_epoch_csv(history, out_dir / "metrics.csv")
     write_report_json(report, out_dir / "report.json")

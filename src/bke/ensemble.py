@@ -35,6 +35,7 @@ from .models import (
     load_checkpoint,
 )
 from .optim import SgdMomentum
+from .selfsup import CollapseError
 
 
 @dataclass
@@ -245,7 +246,9 @@ def finetune(
     ``checkpoint`` is a path to a Phase-I checkpoint or a ModelBundle.
     Only the online encoder weights carry over; the head is initialized
     from config.seed. Batches with a single sample fall back to plain CE
-    (a one-sample graph has no peers).
+    (a one-sample graph has no peers). A batch whose loss or gradients
+    cannot be computed raises :class:`CollapseError` naming the epoch and
+    the batch's first index.
     """
     config.validate()
     bundle = checkpoint if isinstance(checkpoint, ModelBundle) else load_checkpoint(Path(checkpoint))
@@ -261,19 +264,26 @@ def finetune(
         for batch in batches(train_idx, config.batch_size, config.seed, epoch):
             images = container.images[batch]
             labels = container.labels[batch]
-            with T.Tape() as tape:
-                enc = {name: tape.leaf(bundle.online_encoder[name])
-                       for name in sorted(bundle.online_encoder)}
-                head = {name: tape.leaf(bundle.classifier[name])
-                        for name in sorted(bundle.classifier)}
-                feats = encode(enc, spec, images)
-                logits = classify(head, feats)
-                if config.lam > 0.0 and len(batch) >= 2:
-                    q = _soft_targets_for_batch(feats.data, logits.data, config)
-                else:
-                    q = None
-                loss = bke_loss(logits, labels, q, config.tau, config.lam)
-                grads = tape.backward(loss)
+            try:
+                with T.Tape() as tape:
+                    enc = {name: tape.leaf(bundle.online_encoder[name])
+                           for name in sorted(bundle.online_encoder)}
+                    head = {name: tape.leaf(bundle.classifier[name])
+                            for name in sorted(bundle.classifier)}
+                    feats = encode(enc, spec, images)
+                    logits = classify(head, feats)
+                    if config.lam > 0.0 and len(batch) >= 2:
+                        q = _soft_targets_for_batch(feats.data, logits.data, config)
+                    else:
+                        q = None
+                    loss = bke_loss(logits, labels, q, config.tau, config.lam)
+                    grads = tape.backward(loss)
+            # labels are checked on load, so a ValueError here is almost always
+            # log() meeting a softmax that underflowed to 0
+            except (FloatingPointError, ValueError) as exc:
+                raise CollapseError(
+                    f"finetune failed at epoch {epoch}, batch starting {batch[0]}: {exc}"
+                ) from exc
             enc_grads = {name: grads[leaf.node_id].data for name, leaf in enc.items()}
             head_grads = {name: grads[leaf.node_id].data for name, leaf in head.items()}
             bundle.online_encoder = optimizer.step(bundle.online_encoder, enc_grads, prefix="enc/")

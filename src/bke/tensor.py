@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -355,7 +356,12 @@ def reshape(t, shape) -> Tensor:
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution, NCHW input, OIHW weight, per-channel bias."""
+    """2-D convolution, NCHW input, OIHW weight, per-channel bias.
+
+    The padded input is unfolded once into a channels-last column matrix
+    of shape ``(n*ho*wo, cin*kh*kw)``; the forward pass and both
+    gradients are then one 2-D matmul each.
+    """
     xv, wv, bv = _as_value(x), _as_value(w), _as_value(b)
     if xv.ndim != 4 or wv.ndim != 4:
         raise ValueError(f"conv2d: expected NCHW input and OIHW weight, got {xv.shape}, {wv.shape}")
@@ -374,27 +380,24 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     wo = (wp - kw) // stride + 1
 
     xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, cin, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
-    out = np.tensordot(cols, wv, axes=([1, 2, 3], [1, 2, 3]))  # (n, ho, wo, cout)
-    out = out.transpose(0, 3, 1, 2) + bv[None, :, None, None]
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cin * kh * kw)
+    w2 = wv.reshape(cout, cin * kh * kw)
+    out = (cols @ w2.T + bv).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+
+    def channels_last(g):
+        return g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
 
     def vjp_x(g):
-        dcols = np.einsum("nohw,ocij->ncijhw", g, wv)
-        dxp = np.zeros_like(xp)
+        dcols = (channels_last(g) @ w2).reshape(n, ho, wo, cin, kh, kw)
+        dxp = np.zeros((n, hp, wp, cin))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += dcols[
-                    :, :, i, j
-                ]
-        if pad:
-            return dxp[:, :, pad : pad + h, pad : pad + wdt]
-        return dxp
+                dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += dcols[..., i, j]
+        return dxp[:, pad : pad + h, pad : pad + wdt].transpose(0, 3, 1, 2)
 
     def vjp_w(g):
-        return np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
+        return (channels_last(g).T @ cols).reshape(wv.shape)
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))

@@ -186,6 +186,17 @@ def test_finetune_rejects_bad_fraction(tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
+def test_finetune_divergence_names_phase_epoch_batch(tmp_path, capsys):
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    out = tmp_path / "ft"
+    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+               "--epochs", 1, "--batch-size", 4, "--learning-rate", 1e8, "--seed", 2) == 1
+    err = capsys.readouterr().err
+    assert "finetune failed at epoch 0, batch starting" in err
+    assert not out.exists()
+
+
 def test_eval_all_subset_and_missing_data(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     checkpoint = make_checkpoint(tmp_path, prefix)

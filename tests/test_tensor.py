@@ -195,7 +195,28 @@ def naive_conv2d(x, w, b, stride, pad):
     return out
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
+def naive_conv2d_grads(x, w, g, stride, pad):
+    """Scatter each output gradient back over its receptive field."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for ni in range(n):
+        for oi in range(cout):
+            for yi in range(g.shape[2]):
+                for xi in range(g.shape[3]):
+                    rows = slice(yi * stride, yi * stride + kh)
+                    cols = slice(xi * stride, xi * stride + kw)
+                    dxp[ni, :, rows, cols] += g[ni, oi, yi, xi] * w[oi]
+                    dw[oi] += g[ni, oi, yi, xi] * xp[ni, :, rows, cols]
+    return dxp[:, :, pad : pad + h, pad : pad + wd], dw, g.sum(axis=(0, 2, 3))
+
+
+CONV_CASES = [(1, 0), (1, 1), (2, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
 def test_conv2d_matches_naive(stride, pad):
     rng = np.random.default_rng(7 + stride + 10 * pad)
     x = rng.normal(size=(2, 3, 6, 5))
@@ -203,6 +224,45 @@ def test_conv2d_matches_naive(stride, pad):
     b = rng.normal(size=4)
     got = T.conv2d(x, w, b, stride=stride, pad=pad).data
     np.testing.assert_allclose(got, naive_conv2d(x, w, b, stride, pad), atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+def test_conv2d_gradients_match_naive(stride, pad):
+    rng = np.random.default_rng(17 + stride + 10 * pad)
+    x = rng.normal(size=(2, 3, 6, 5))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    with T.Tape() as tape:
+        leaves = [tape.leaf(v) for v in (x, w, b)]
+        y = T.conv2d(*leaves, stride=stride, pad=pad)
+        g = rng.normal(size=y.shape)
+        # d(sum(y * g))/dy = g, so backward hands each vjp exactly g
+        loss = T.scale(T.mean_all(T.mul(y, T.Tensor(g))), float(g.size))
+        grads = tape.backward(loss)
+    want = naive_conv2d_grads(x, w, g, stride, pad)
+    for leaf, expected in zip(leaves, want):
+        np.testing.assert_allclose(grads[leaf.node_id].data, expected, rtol=0, atol=1e-12)
+    if (stride, pad) == (2, 0):
+        # the last input row lies in no window
+        assert not np.any(grads[leaves[0].node_id].data[:, :, -1, :])
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+def test_gradcheck_conv2d_all_inputs(stride, pad):
+    rng = np.random.default_rng(23 + stride + 10 * pad)
+    params = {
+        "x": rng.normal(size=(2, 3, 6, 5)),
+        "w": rng.normal(size=(2, 3, 3, 3)) * 0.5,
+        "b": rng.normal(size=2),
+    }
+
+    def f(p):
+        y = T.conv2d(p["x"], p["w"], p["b"], stride=stride, pad=pad)
+        return T.mean_all(T.mul(y, y))
+
+    report = T.finite_difference_check(f, params)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+    assert report.n_components == 2 * 3 * 6 * 5 + 2 * 3 * 3 * 3 + 2
 
 
 def test_conv2d_shape_errors():
