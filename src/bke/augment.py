@@ -48,13 +48,12 @@ def identity_params(side: int) -> TransformParams:
     return TransformParams((0, 0, side, side), False, 0.0, 1.0, 0.0, side)
 
 
-def sample_params(rng: SplitMix64, source_side: int, target_side: int | None = None) -> TransformParams:
-    """Draw transform parameters; the integer crop box is rejection-sampled
-    until it satisfies both the area and the aspect-ratio bounds exactly."""
-    if target_side is None:
-        target_side = source_side // 2
-    if source_side < 2 or target_side < 1:
-        raise ValueError(f"bad sides: source {source_side}, target {target_side}")
+def sample_params(rng: SplitMix64, source_side: int) -> TransformParams:
+    """Draw transform parameters for a view of side ``source_side // 2``;
+    the integer crop box is rejection-sampled until it satisfies both the
+    area and the aspect-ratio bounds exactly."""
+    if source_side < 2:
+        raise ValueError(f"bad source side {source_side}")
 
     src_area = source_side * source_side
     box = (0, 0, source_side, source_side)
@@ -79,7 +78,7 @@ def sample_params(rng: SplitMix64, source_side: int, target_side: int | None = N
     brightness = rng.uniform(*BRIGHTNESS_RANGE)
     contrast = rng.uniform(*CONTRAST_RANGE)
     sigma = rng.uniform(*BLUR_SIGMA_RANGE) if rng.next_float() < BLUR_PROB else 0.0
-    return TransformParams(box, hflip, brightness, contrast, sigma, target_side)
+    return TransformParams(box, hflip, brightness, contrast, sigma, source_side // 2)
 
 
 def _bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -9,15 +9,12 @@ writes byte-identical files.
 
 Datasets are referenced by prefix: ``<prefix>.bkei`` (images),
 ``<prefix>.bkel`` (labels), ``<prefix>.split.json`` (train/test split).
-``BKE_THREADS`` caps worker parallelism; the current implementation is
-single-threaded, so any valid value only bounds pools of size one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -50,7 +47,7 @@ from .ensemble import (
 from .metrics import write_epoch_csv, write_report_json
 from .models import load_checkpoint, save_checkpoint
 from .rng import substream
-from .selfsup import SslConfig, cross_model_loss, cross_view_loss, pretrain
+from .selfsup import SslConfig, cross_model_loss, cross_view_loss, pretrain, write_loss_csv
 from .textio import fmt_float, read_float_matrix, write_float_matrix
 
 GRADCHECK_TOL = 1e-4
@@ -211,9 +208,6 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
 
 def _echo_config(command: str, cfg: dict, path: Path) -> None:
     doc = {"command": command, **cfg}
-    threads = os.environ.get("BKE_THREADS")
-    if threads is not None:
-        doc["threads"] = int(threads)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -293,14 +287,11 @@ def _cmd_pretrain(cfg: dict) -> int:
         zeta=cfg["zeta"],
         seed=cfg["seed"],
     )
+    bundle, history = pretrain(images, ssl_cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, history = pretrain(
-        images,
-        ssl_cfg,
-        checkpoint_path=out_dir / "checkpoint.bkec",
-        log_path=out_dir / "pretrain_loss.csv",
-    )
+    save_checkpoint(bundle, out_dir / "checkpoint.bkec")
+    write_loss_csv(history, out_dir / "pretrain_loss.csv")
     _echo_config("pretrain", cfg, out_dir / "config.json")
     final = history[-1]
     print(
@@ -494,12 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = os.environ.get("BKE_THREADS")
-    if threads is not None:
-        if not threads.isdigit() or int(threads) < 1:
-            print(f"error: BKE_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 1
     try:
         cfg = build_config(args.command, args)
         return _DISPATCH[args.command](cfg)

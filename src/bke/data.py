@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,10 +107,11 @@ def write_container(container: DatasetContainer, prefix) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ContainerError(f"truncated {what}: wanted {n} bytes, got {len(buf)}")
-    return buf
+    """Read n bytes, checking first that the file still holds them."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ContainerError(f"truncated {what}: wanted {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def read_container(prefix, class_names: tuple[str, ...] | None = None) -> DatasetContainer:
@@ -227,9 +229,9 @@ def write_split(split: SplitSpec, path) -> None:
 
 
 def read_split(path) -> SplitSpec:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         return SplitSpec(
             train_indices=tuple(int(i) for i in doc["train"]),
             test_indices=tuple(int(i) for i in doc["test"]),
@@ -238,6 +240,8 @@ def read_split(path) -> SplitSpec:
         )
     except KeyError as exc:
         raise ContainerError(f"split manifest {path} missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContainerError(f"split manifest {path} is malformed: {exc}") from None
 
 
 def batches(indices, batch_size: int, seed: int, epoch: int) -> list[list[int]]:

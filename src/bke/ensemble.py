@@ -68,25 +68,12 @@ class BkeConfig:
 @dataclass(frozen=True)
 class ProbMatrix:
     values: np.ndarray
-    tau_used: float
 
 
 @dataclass(frozen=True)
 class SoftTargets:
     values: np.ndarray
     method: str
-    detached: bool = True
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    raw: np.ndarray
-    normalized: np.ndarray
-
-    @staticmethod
-    def from_features(features) -> "SimilarityMatrix":
-        raw = similarity_matrix(features)
-        return SimilarityMatrix(raw=raw, normalized=normalize_similarity(raw))
 
 
 def similarity_matrix(features) -> np.ndarray:
@@ -124,7 +111,7 @@ def normalize_similarity(raw: np.ndarray) -> np.ndarray:
 def probabilities(logits, tau: float) -> ProbMatrix:
     """Row softmax of logits/tau, numerically identical to the taped op."""
     values = logits.data if isinstance(logits, T.Tensor) else np.asarray(logits, dtype=np.float64)
-    return ProbMatrix(values=T.softmax_rows(T.Tensor(values), tau).data, tau_used=tau)
+    return ProbMatrix(values=T.softmax_rows(T.Tensor(values), tau).data)
 
 
 def _check_propagation_args(y_hat: np.ndarray, p: np.ndarray, omega: float) -> None:
@@ -158,8 +145,6 @@ def soft_targets_closed_form(y_hat: np.ndarray, p: np.ndarray, omega: float) -> 
     y_hat = np.asarray(y_hat, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     _check_propagation_args(y_hat, p, omega)
-    if omega == 0.0:
-        return SoftTargets(values=p.copy(), method="closed_form")
     a = np.eye(len(y_hat)) - omega * y_hat
     q = (1.0 - omega) * np.linalg.solve(a, p)
     return SoftTargets(values=q, method="closed_form")
@@ -252,7 +237,7 @@ def finetune(
     """
     config.validate()
     bundle = checkpoint if isinstance(checkpoint, ModelBundle) else load_checkpoint(Path(checkpoint))
-    attach_classifier(bundle, container.n_classes, seed=config.seed)
+    attach_classifier(bundle, container.n_classes, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
     spec = bundle.specs.encoder
     train_idx = list(split.train_indices)

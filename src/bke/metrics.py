@@ -97,11 +97,10 @@ class MetricsReport:
     window: int
 
     @staticmethod
-    def from_history(history: list[EpochMetrics], positive_class: int,
-                     window: int = REPORT_WINDOW) -> "MetricsReport":
+    def from_history(history: list[EpochMetrics], positive_class: int) -> "MetricsReport":
         if not history:
             raise MetricError("empty history")
-        tail = history[-window:]
+        tail = history[-REPORT_WINDOW:]
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
         for name in METRIC_NAMES:

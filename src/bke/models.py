@@ -11,6 +11,7 @@ global average pooling; a deeper stack can be swapped in through
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -22,6 +23,7 @@ from . import tensor as T
 
 KERNEL_SIZE = 3
 CONV_PAD = 1
+CLASSIFIER_HIDDEN_DIM = 64
 
 CHECKPOINT_MAGIC = b"BKEC"
 CHECKPOINT_VERSION = 1
@@ -168,8 +170,7 @@ def init_bundle(specs: BundleSpecs, seed: int) -> ModelBundle:
     return bundle
 
 
-def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int | None = None,
-                      hidden_dim: int = 64) -> None:
+def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int) -> None:
     """Attach a freshly initialized classifier head (in place).
 
     The head is seeded independently of the rest of the bundle so a
@@ -177,11 +178,10 @@ def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int | None = No
     """
     if n_classes < 2:
         raise ValueError("classifier needs at least 2 classes")
-    spec = MlpSpec(bundle.specs.encoder.feature_dim, hidden_dim, n_classes)
+    spec = MlpSpec(bundle.specs.encoder.feature_dim, CLASSIFIER_HIDDEN_DIM, n_classes)
     spec.validate()
-    head_seed = bundle.init_seed if seed is None else seed
     bundle.specs = replace(bundle.specs, classifier=spec)
-    bundle.classifier = _init_mlp(spec, substream(head_seed, "init", "classifier"))
+    bundle.classifier = _init_mlp(spec, substream(seed, "init", "classifier"))
 
 
 def encode(params: Mapping, spec: EncoderSpec, images) -> T.Tensor:
@@ -283,39 +283,49 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
+    """Read n bytes, checking first that the file still holds them."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError("payload length mismatch: truncated checkpoint")
-    return buf
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> ModelBundle:
+    """Read a bundle back; corrupt content raises :class:`CheckpointError`."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        consumed = 12
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-            n_bytes = 8 * int(np.prod(dims)) if rank else 8
-            data = np.frombuffer(_read_exact(fh, n_bytes), dtype="<f8").reshape(dims)
-            tensors[name] = data.astype(np.float64)
-            consumed += 2 + name_len + 1 + 4 * rank + n_bytes
-        (declared,) = struct.unpack("<Q", _read_exact(fh, 8))
-        if declared != consumed:
-            raise CheckpointError(
-                f"payload length mismatch: trailer says {declared}, read {consumed}"
-            )
-        if fh.read(1):
-            raise CheckpointError("payload length mismatch: trailing bytes after checksum")
+        try:
+            return _read_bundle(fh)
+        except CheckpointError:
+            raise
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
+
+
+def _read_bundle(fh) -> ModelBundle:
+    magic = _read_exact(fh, 4)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (count,) = struct.unpack("<I", _read_exact(fh, 4))
+    consumed = 12
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
+        name = _read_exact(fh, name_len).decode("utf-8")
+        (rank,) = struct.unpack("<B", _read_exact(fh, 1))
+        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+        n_bytes = 8 * math.prod(dims)
+        data = np.frombuffer(_read_exact(fh, n_bytes), dtype="<f8").reshape(dims)
+        tensors[name] = data.astype(np.float64)
+        consumed += 2 + name_len + 1 + 4 * rank + n_bytes
+    (declared,) = struct.unpack("<Q", _read_exact(fh, 8))
+    if declared != consumed:
+        raise CheckpointError(
+            f"payload length mismatch: trailer says {declared}, read {consumed}"
+        )
+    if fh.read(1):
+        raise CheckpointError("payload length mismatch: trailing bytes after checksum")
 
     def meta(name: str) -> np.ndarray:
         if name not in tensors:

@@ -65,9 +65,6 @@ class SslConfig:
 
 @dataclass
 class SslBatchOutputs:
-    q1: np.ndarray
-    q1_prime: np.ndarray
-    z2: np.ndarray
     loss_cv: float
     loss_cm: float
     loss_total: float
@@ -159,9 +156,6 @@ def ssl_step(
     bundle.target_projector = ema_update(bundle.target_projector, bundle.online_projector, config.zeta)
 
     return SslBatchOutputs(
-        q1=q1.data,
-        q1_prime=q1p.data,
-        z2=z2_val,
         loss_cv=loss_cv.item(),
         loss_cm=loss_cm.item(),
         loss_total=loss_total.item(),
@@ -196,9 +190,9 @@ def pretrain(
             rngs = [substream(config.seed, "augment", epoch, idx) for idx in batch]
             try:
                 out = ssl_step(bundle, images[batch], config, optimizer, rngs)
-            except FloatingPointError as exc:
+            except (FloatingPointError, ValueError) as exc:
                 raise CollapseError(
-                    f"non-finite loss at epoch {epoch}, batch starting {batch[0]}: {exc}"
+                    f"pretrain failed at epoch {epoch}, batch starting {batch[0]}: {exc}"
                 ) from exc
             n = len(batch)
             sums += n * np.array([out.loss_cv, out.loss_cm, out.loss_total])

@@ -26,7 +26,6 @@ __all__ = [
     "Tape",
     "tape_active",
     "detach",
-    "primitive",
     "PRIMITIVE_KINDS",
     "matmul",
     "conv2d",
@@ -63,6 +62,13 @@ class Tensor:
         self.data = arr
         self.tape = tape
         self.node_id = node_id
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray, tape: "Tape | None", node_id: int | None) -> "Tensor":
+        """Wrap a float64 array whose values were already checked finite."""
+        t = cls.__new__(cls)
+        t.data, t.tape, t.node_id = arr, tape, node_id
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -181,7 +187,7 @@ def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callabl
     _check_finite(out, kind)
     tape = _active_tape()
     if tape is None:
-        return Tensor(out)
+        return Tensor._checked(out, None, None)
     edges = []
     for inp, vjp in zip(inputs, vjps):
         if (
@@ -192,7 +198,7 @@ def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callabl
         ):
             edges.append((inp.node_id, vjp))
     nid = tape._record(kind, edges, out.shape)
-    return Tensor(out, tape, nid)
+    return Tensor._checked(out, tape, nid)
 
 
 def _addsub_vjps(a: np.ndarray, b: np.ndarray, kind: str):
@@ -423,22 +429,12 @@ PRIMITIVE_KINDS: Mapping[str, Callable] = {
 }
 
 
-def primitive(kind: str, inputs: Sequence, **attrs) -> Tensor:
-    """Dispatch a primitive by kind name."""
-    try:
-        fn = PRIMITIVE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs, **attrs)
-
-
 @dataclass
 class GradCheckReport:
     """Outcome of comparing autodiff gradients against central differences."""
 
     max_rel_err: float
     worst_param: str
-    worst_component: tuple[int, ...]
     n_components: int
     tol: float
     per_param: dict[str, float]
@@ -478,7 +474,6 @@ def finite_difference_check(
 
     max_rel = 0.0
     worst_param = ""
-    worst_component: tuple[int, ...] = ()
     n_components = 0
     per_param: dict[str, float] = {}
     for name, arr in arrays.items():
@@ -502,12 +497,10 @@ def finite_difference_check(
             if rel > max_rel:
                 max_rel = rel
                 worst_param = name
-                worst_component = idx
         per_param[name] = param_worst
     return GradCheckReport(
         max_rel_err=max_rel,
         worst_param=worst_param,
-        worst_component=worst_component,
         n_components=n_components,
         tol=tol,
         per_param=per_param,

@@ -109,21 +109,6 @@ def test_choices_checked_for_config_values(tmp_path, capsys):
     assert "subset must be one of train, test, all" in capsys.readouterr().err
 
 
-def test_threads_env_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BKE_THREADS", "zero")
-    assert run("gradcheck") == 1
-    assert "BKE_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("BKE_THREADS", "0")
-    assert run("gradcheck") == 1
-
-
-def test_threads_env_echoed_into_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("BKE_THREADS", "2")
-    prefix = make_dataset(tmp_path)
-    echoed = json.loads(Path(str(prefix) + ".synth.config.json").read_text())
-    assert echoed["threads"] == 2
-
-
 # --- pretrain / finetune / eval flow ----------------------------------------------
 
 
@@ -194,6 +179,21 @@ def test_finetune_divergence_names_phase_epoch_batch(tmp_path, capsys):
                "--epochs", 1, "--batch-size", 4, "--learning-rate", 1e8, "--seed", 2) == 1
     err = capsys.readouterr().err
     assert "finetune failed at epoch 0, batch starting" in err
+    assert not out.exists()
+
+
+def test_pretrain_failure_names_phase_epoch_batch(tmp_path, capsys, monkeypatch):
+    prefix = make_dataset(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise ValueError("l2_normalize_rows: zero-norm row")
+
+    monkeypatch.setattr("bke.selfsup.ssl_step", fail)
+    out = tmp_path / "pre"
+    assert run("pretrain", "--data", prefix, "--out", out, "--epochs", 1, "--seed", 1) == 1
+    err = capsys.readouterr().err
+    assert "pretrain failed at epoch 0, batch starting" in err
+    assert "zero-norm row" in err
     assert not out.exists()
 
 

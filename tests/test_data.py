@@ -1,3 +1,7 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,8 @@ from bke.data import (
     write_container,
     write_split,
 )
+
+from corruption import corruptions
 
 
 def small_container(n=6, side=8, seed=0):
@@ -93,6 +99,55 @@ def test_read_rejects_label_count_mismatch(tmp_path):
     labels_path(prefix).write_bytes(labels_path(other).read_bytes())
     with pytest.raises(ContainerError, match="count mismatch"):
         read_container(prefix)
+
+
+def test_read_rejects_oversized_header_before_reading(tmp_path):
+    prefix = tmp_path / "set"
+    write_container(small_container(), prefix)
+    data = images_path(prefix).read_bytes()
+    for count, h, w in ((0xFFFFFFFF,) * 3, (7, 8, 8)):
+        images_path(prefix).write_bytes(data[:4] + struct.pack("<IIII", 1, count, h, w) + data[20:])
+        with pytest.raises(ContainerError, match="truncated images payload"):
+            read_container(prefix)
+
+
+def _valid_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "set"
+        write_container(small_container(n=4, side=3), prefix)
+        write_split(SplitSpec((0, 2), (1, 3), 0.5, 11), split_path(prefix))
+        return {p.suffix: p.read_bytes()
+                for p in (images_path(prefix), labels_path(prefix), split_path(prefix))}
+
+
+VALID = _valid_files()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([".bkei", ".bkel"]).flatmap(
+    lambda suffix: st.tuples(st.just(suffix), corruptions(VALID[suffix]))))
+def test_corrupt_container_raises_only_container_error(case):
+    suffix, blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "set"
+        for name, valid in VALID.items():
+            Path(str(prefix) + name).write_bytes(blob if name == suffix else valid)
+        try:
+            read_container(prefix)
+        except ContainerError:
+            pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(corruptions(VALID[".json"]))
+def test_corrupt_split_raises_only_container_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.split.json"
+        path.write_bytes(blob)
+        try:
+            read_split(path)
+        except ContainerError:
+            pass
 
 
 def test_container_validation():
@@ -186,6 +241,23 @@ def test_split_manifest_missing_key(tmp_path):
     path = tmp_path / "bad.split.json"
     path.write_text('{"seed": 1, "train": [0]}')
     with pytest.raises(ContainerError, match="missing key"):
+        read_split(path)
+
+
+@pytest.mark.parametrize("text", [
+    b'{"seed": 1, "fraction": 1.0, "train": 5, "test": []}',
+    b'[{"seed": 1, "fraction": 1.0, "train": [0], "test": []}]',
+    b'{"seed": 1, "fraction": null, "train": [0], "test": []}',
+    b'{"seed": 1, "fraction": 1.0, "train": ["x"], "test": []}',
+    b'{"seed": 1, "fraction": 1.0, "train": [1e400], "test": []}',
+    b'{"seed": 1, "fraction": 1.0, "train": [0], "test": [',
+    b'{"seed": 1, "fraction": 1.0, "train": [0], "test": [\xff]}',
+], ids=["train-int", "top-level-list", "fraction-null", "train-str", "train-overflow",
+        "cut-json", "not-utf8"])
+def test_split_manifest_malformed(tmp_path, text):
+    path = tmp_path / "bad.split.json"
+    path.write_bytes(text)
+    with pytest.raises(ContainerError, match="malformed"):
         read_split(path)
 
 

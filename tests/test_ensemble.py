@@ -10,7 +10,6 @@ from bke import tensor as T
 from bke.data import SplitSpec, synth_blobs
 from bke.ensemble import (
     BkeConfig,
-    SimilarityMatrix,
     bke_loss,
     evaluate_classifier,
     finetune,
@@ -88,13 +87,6 @@ def test_normalize_similarity_equal_offdiagonal_weights():
     y = normalize_similarity(np.zeros((4, 4)))
     expected = (np.ones((4, 4)) - np.eye(4)) / 3.0
     np.testing.assert_allclose(y, expected, atol=1e-15)
-
-
-def test_from_features_bundles_both_forms():
-    feats = np.random.default_rng(3).normal(size=(5, 4))
-    sim = SimilarityMatrix.from_features(feats)
-    np.testing.assert_array_equal(sim.raw, similarity_matrix(feats))
-    np.testing.assert_array_equal(sim.normalized, normalize_similarity(sim.raw))
 
 
 # --- propagation ----------------------------------------------------------------
@@ -182,7 +174,6 @@ def test_probabilities_match_taped_softmax_bitwise():
     logits = np.random.default_rng(12).normal(size=(4, 3)) * 10
     for tau in (0.5, 1.0, 3.0):
         plain = probabilities(logits, tau)
-        assert plain.tau_used == tau
         np.testing.assert_array_equal(
             plain.values, T.softmax_rows(T.Tensor(logits), tau).data
         )

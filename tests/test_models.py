@@ -1,7 +1,12 @@
 import math
+import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bke import tensor as T
 from bke.models import (
@@ -19,6 +24,8 @@ from bke.models import (
     mlp_forward,
     save_checkpoint,
 )
+
+from corruption import corruptions
 
 TINY = BundleSpecs(
     encoder=EncoderSpec(input_side=8, conv_stages=((2, 2), (3, 2))),
@@ -97,7 +104,7 @@ def test_attach_classifier_and_classify():
     for k in bundle.classifier:
         np.testing.assert_array_equal(bundle.classifier[k], again.classifier[k])
     with pytest.raises(ValueError, match="2 classes"):
-        attach_classifier(bundle, n_classes=1)
+        attach_classifier(bundle, n_classes=1, seed=77)
 
 
 def test_spec_validation():
@@ -180,6 +187,58 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_oversized_dims_rejected_before_reading(tmp_path):
+    # 2^31 * 2^31 * 4 elements wrap to 0 in 64-bit arithmetic; 2^32-1 squared
+    # wraps to a negative count
+    head = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"w"
+    path = tmp_path / "model.bkec"
+    for dims in ((0x80000000, 0x80000000, 4), (0xFFFFFFFF, 0xFFFFFFFF)):
+        path.write_bytes(head + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + bytes(16))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "model.bkec"
+    head = CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
+    path.write_bytes(head + struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<B", 0) + bytes(16))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("input_side", [math.nan, math.inf, 4.0])
+def test_checkpoint_bad_metadata_rejected(tmp_path, input_side):
+    bundle = init_bundle(TINY, 8)
+    bundle.specs = replace(bundle.specs, encoder=replace(TINY.encoder, input_side=input_side))
+    path = tmp_path / "model.bkec"
+    save_checkpoint(bundle, path)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+def _valid_checkpoint() -> bytes:
+    bundle = init_bundle(TINY, 4)
+    attach_classifier(bundle, n_classes=2, seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(bundle, Path(tmp) / "model.bkec")
+        return (Path(tmp) / "model.bkec").read_bytes()
+
+
+VALID_CHECKPOINT = _valid_checkpoint()
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruptions(VALID_CHECKPOINT))
+def test_corrupt_checkpoint_raises_only_checkpoint_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bkec"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
 
 def test_save_load_save_identical_bytes(tmp_path):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +160,9 @@ def test_log_rejects_nonpositive():
 
 
 def test_nonfinite_result_raises():
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+    with np.errstate(over="ignore"), pytest.raises(
+        FloatingPointError, match="elementwise_mul produced non-finite"
+    ):
         T.mul(np.full((2,), 1e300), np.full((2,), 1e300))
     with pytest.raises(FloatingPointError):
         T.Tensor([np.nan])
@@ -168,12 +173,15 @@ def test_global_avg_pool_value():
     np.testing.assert_allclose(T.global_avg_pool(x).data, [[7.5]])
 
 
-def test_primitive_dispatcher():
-    out = T.primitive("elementwise_mul", ([1.0, 2.0], [3.0, 4.0]))
-    np.testing.assert_allclose(out.data, [3.0, 8.0])
-    with pytest.raises(ValueError, match="unknown primitive"):
-        T.primitive("fft", ([1.0],))
-    assert len(T.PRIMITIVE_KINDS) == 14
+def test_primitive_kinds_match_benchmark_rows():
+    # the benchmark reports tensor.<kind>.fwd_s and .bwd_s for each kind, so
+    # adding or dropping a kind has to change BENCHMARK.json with it
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    rows = [m["name"] for m in bench["per_layer"]]
+    for suffix in ("fwd_s", "bwd_s"):
+        kinds = {r[len("tensor."):-len("." + suffix)] for r in rows
+                 if r.startswith("tensor.") and r.endswith("." + suffix)}
+        assert kinds == set(T.PRIMITIVE_KINDS)
 
 
 # --- conv2d against a naive direct implementation ----------------------------
