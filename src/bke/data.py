@@ -228,13 +228,22 @@ def write_split(split: SplitSpec, path) -> None:
         fh.write("\n")
 
 
+def _indices(doc: dict, key: str) -> tuple[int, ...]:
+    values = doc[key]
+    # bool is an int subclass, and a float or a negative index would still
+    # pick an image
+    if not isinstance(values, list) or not all(type(i) is int and i >= 0 for i in values):
+        raise ValueError(f"{key} must be a list of non-negative integers")
+    return tuple(values)
+
+
 def read_split(path) -> SplitSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return SplitSpec(
-            train_indices=tuple(int(i) for i in doc["train"]),
-            test_indices=tuple(int(i) for i in doc["test"]),
+            train_indices=_indices(doc, "train"),
+            test_indices=_indices(doc, "test"),
             fraction=float(doc["fraction"]),
             seed=int(doc["seed"]),
         )
@@ -280,13 +289,13 @@ def synth_blobs(n_per_class: int, side: int, seed: int) -> DatasetContainer:
     for i in range(2 * n_per_class):
         cls = i // n_per_class
         center = _BLOB_CENTERS[cls] * side
-        cy = center + rng.uniform(-jitter, jitter)
-        cx = center + rng.uniform(-jitter, jitter)
+        # in stream order: the row and column jitter, then the noise row-major,
+        # each with the arithmetic of rng.uniform(low, high)
+        u = rng.next_floats(2 + side * side)
+        cy = center + (-jitter + 2.0 * jitter * u[0])
+        cx = center + (-jitter + 2.0 * jitter * u[1])
         blob = _BLOB_AMPLITUDE * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * sigma**2))
-        noise = np.empty((side, side))
-        for r in range(side):
-            for c in range(side):
-                noise[r, c] = rng.uniform(0.0, _NOISE_MAX)
+        noise = _NOISE_MAX * u[2:].reshape(side, side)
         images[i, 0] = np.clip(blob + noise, 0.0, 1.0)
         labels[i] = cls
     images = _quantize(images) / 255.0

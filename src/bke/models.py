@@ -115,33 +115,35 @@ class ModelBundle:
 
 
 def _uniform_array(rng: SplitMix64, bound: float, shape: tuple[int, ...]) -> np.ndarray:
-    flat = np.empty(int(np.prod(shape)))
-    for i in range(flat.size):
-        flat[i] = rng.uniform(-bound, bound)
-    return flat.reshape(shape)
+    """Row-major draws with the arithmetic of rng.uniform(-bound, bound)."""
+    return (-bound + 2.0 * bound * rng.next_floats(math.prod(shape))).reshape(shape)
 
 
-def _init_mlp(spec: MlpSpec, rng: SplitMix64) -> Params:
-    # fan-in uniform bound sqrt(1/fan_in), applied to weights and biases alike
-    b1 = math.sqrt(1.0 / spec.in_dim)
-    b2 = math.sqrt(1.0 / spec.hidden_dim)
-    return {
-        "fc1.w": _uniform_array(rng, b1, (spec.in_dim, spec.hidden_dim)),
-        "fc1.b": _uniform_array(rng, b1, (spec.hidden_dim,)),
-        "fc2.w": _uniform_array(rng, b2, (spec.hidden_dim, spec.out_dim)),
-        "fc2.b": _uniform_array(rng, b2, (spec.out_dim,)),
-    }
-
-
-def _init_encoder(spec: EncoderSpec, rng: SplitMix64) -> Params:
-    params: Params = {}
+def _encoder_shapes(spec: EncoderSpec) -> dict[str, tuple[int, ...]]:
+    """Each conv stage's weight (out, in, k, k), then its bias."""
+    shapes: dict[str, tuple[int, ...]] = {}
     in_ch = 1
     for i, (out_ch, _stride) in enumerate(spec.conv_stages):
-        fan_in = in_ch * KERNEL_SIZE * KERNEL_SIZE
-        bound = math.sqrt(1.0 / fan_in)
-        params[f"stage{i}.w"] = _uniform_array(rng, bound, (out_ch, in_ch, KERNEL_SIZE, KERNEL_SIZE))
-        params[f"stage{i}.b"] = _uniform_array(rng, bound, (out_ch,))
+        shapes[f"stage{i}.w"] = (out_ch, in_ch, KERNEL_SIZE, KERNEL_SIZE)
+        shapes[f"stage{i}.b"] = (out_ch,)
         in_ch = out_ch
+    return shapes
+
+
+def _mlp_shapes(spec: MlpSpec) -> dict[str, tuple[int, ...]]:
+    """Each linear layer's weight (in, out), then its bias."""
+    return {"fc1.w": (spec.in_dim, spec.hidden_dim), "fc1.b": (spec.hidden_dim,),
+            "fc2.w": (spec.hidden_dim, spec.out_dim), "fc2.b": (spec.out_dim,)}
+
+
+def _init_params(shapes: dict[str, tuple[int, ...]], rng: SplitMix64) -> Params:
+    # fan-in uniform bound sqrt(1/fan_in), applied to each weight and the bias
+    # after it; a conv weight's fan-in is in * k * k, a linear weight's is in
+    params: Params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".w"):
+            bound = math.sqrt(1.0 / math.prod(shape[1:] if len(shape) == 4 else shape[:1]))
+        params[name] = _uniform_array(rng, bound, shape)
     return params
 
 
@@ -153,9 +155,11 @@ def init_bundle(specs: BundleSpecs, seed: int) -> ModelBundle:
     """Deterministic init; the target side starts as an exact copy of the
     online side."""
     specs.validate()
-    online_encoder = _init_encoder(specs.encoder, substream(seed, "init", "encoder"))
-    online_projector = _init_mlp(specs.projector, substream(seed, "init", "projector"))
-    predictor = _init_mlp(specs.predictor, substream(seed, "init", "predictor"))
+    online_encoder = _init_params(_encoder_shapes(specs.encoder),
+                                  substream(seed, "init", "encoder"))
+    online_projector = _init_params(_mlp_shapes(specs.projector),
+                                    substream(seed, "init", "projector"))
+    predictor = _init_params(_mlp_shapes(specs.predictor), substream(seed, "init", "predictor"))
     bundle = ModelBundle(
         specs=specs,
         init_seed=seed,
@@ -166,7 +170,8 @@ def init_bundle(specs: BundleSpecs, seed: int) -> ModelBundle:
         target_projector=_copy_params(online_projector),
     )
     if specs.classifier is not None:
-        bundle.classifier = _init_mlp(specs.classifier, substream(seed, "init", "classifier"))
+        bundle.classifier = _init_params(_mlp_shapes(specs.classifier),
+                                         substream(seed, "init", "classifier"))
     return bundle
 
 
@@ -181,7 +186,7 @@ def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int) -> None:
     spec = MlpSpec(bundle.specs.encoder.feature_dim, CLASSIFIER_HIDDEN_DIM, n_classes)
     spec.validate()
     bundle.specs = replace(bundle.specs, classifier=spec)
-    bundle.classifier = _init_mlp(spec, substream(seed, "init", "classifier"))
+    bundle.classifier = _init_params(_mlp_shapes(spec), substream(seed, "init", "classifier"))
 
 
 def encode(params: Mapping, spec: EncoderSpec, images) -> T.Tensor:
@@ -282,6 +287,17 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         fh.write(payload)
 
 
+def _param_shapes(specs: BundleSpecs) -> dict[str, dict[str, tuple[int, ...]]]:
+    """The parameter names and shapes of each group that specs define."""
+    encoder, projector = _encoder_shapes(specs.encoder), _mlp_shapes(specs.projector)
+    shapes = {"online_encoder": encoder, "online_projector": projector,
+              "predictor": _mlp_shapes(specs.predictor), "target_encoder": encoder,
+              "target_projector": projector}
+    if specs.classifier is not None:
+        shapes["classifier"] = _mlp_shapes(specs.classifier)
+    return shapes
+
+
 def _read_exact(fh, n: int) -> bytes:
     """Read n bytes, checking first that the file still holds them."""
     if n > os.fstat(fh.fileno()).st_size - fh.tell():
@@ -354,8 +370,19 @@ def _read_bundle(fh) -> ModelBundle:
         if group not in groups or not pname:
             raise CheckpointError(f"unexpected tensor {full_name!r} in checkpoint")
         groups[group][pname] = arr
-    if specs.classifier is None and groups["classifier"]:
-        raise CheckpointError("classifier tensors present but no classifier spec")
+    expected = _param_shapes(specs)
+    for group, params in groups.items():
+        want = expected.get(group, {})
+        for name, shape in want.items():
+            if name not in params:
+                raise CheckpointError(f"checkpoint missing {group}/{name}")
+            if params[name].shape != shape:
+                raise CheckpointError(
+                    f"{group}/{name} has shape {params[name].shape}, the specs give {shape}"
+                )
+        extra = sorted(params.keys() - want.keys())
+        if extra:
+            raise CheckpointError(f"unexpected tensor '{group}/{extra[0]}' in checkpoint")
     return ModelBundle(
         specs=specs,
         init_seed=init_seed,

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    """SplitMix64 finalizer."""
+def _mix(z):
+    """SplitMix64 finalizer, of an int or of a uint64 array (which wraps)."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -44,6 +46,14 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform draw in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def next_floats(self, n: int) -> np.ndarray:
+        """n uniform draws in [0, 1) at once: the values of n next_float()
+        calls, leaving the state where they would."""
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        out = (_mix(steps + np.uint64(self._state)) >> np.uint64(11)) * 2.0**-53
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return out
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()

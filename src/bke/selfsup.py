@@ -123,12 +123,8 @@ def ssl_step(
     """One optimization step on a batch of source images (in place)."""
     if view_rngs is None:
         view_rngs = [substream(config.seed, "augment", 0, i) for i in range(len(images))]
-    if len(view_rngs) != len(images):
-        raise ValueError("need exactly one view RNG per image")
-
-    pairs = [make_view_pair(img, rng) for img, rng in zip(images, view_rngs)]
-    v1 = np.stack([p.v1 for p in pairs])
-    v2 = np.stack([p.v2 for p in pairs])
+    pair = make_view_pair(images, view_rngs)
+    v1, v2 = pair.v1, pair.v2
 
     spec = bundle.specs.encoder
     # target forward runs outside the tape: plain values, nothing recorded

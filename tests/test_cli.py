@@ -182,6 +182,23 @@ def test_finetune_divergence_names_phase_epoch_batch(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_finetune_rejects_checkpoint_with_renamed_param(tmp_path, capsys):
+    from bke.models import load_checkpoint, save_checkpoint
+
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    bundle = load_checkpoint(checkpoint)
+    bundle.online_encoder["stage0.v"] = bundle.online_encoder.pop("stage0.w")
+    save_checkpoint(bundle, checkpoint)
+    out = tmp_path / "ft"
+    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+               "--epochs", 1, "--batch-size", 4, "--seed", 2) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint missing online_encoder/stage0.w" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pretrain_failure_names_phase_epoch_batch(tmp_path, capsys, monkeypatch):
     prefix = make_dataset(tmp_path)
 

@@ -24,6 +24,8 @@ from bke.data import (
     write_split,
 )
 
+from bke.rng import substream
+
 from corruption import corruptions
 
 
@@ -261,6 +263,14 @@ def test_split_manifest_malformed(tmp_path, text):
         read_split(path)
 
 
+@pytest.mark.parametrize("index", ["-1", "2.7", "true"], ids=["negative", "float", "bool"])
+def test_split_manifest_rejects_non_index_values(tmp_path, index):
+    path = tmp_path / "bad.split.json"
+    path.write_text('{"seed": 1, "fraction": 1.0, "train": [0, %s], "test": [3]}' % index)
+    with pytest.raises(ContainerError, match="non-negative integers"):
+        read_split(path)
+
+
 def test_split_overlap_rejected():
     with pytest.raises(ContainerError, match="overlap"):
         SplitSpec(train_indices=(0, 1), test_indices=(1, 2), fraction=1.0, seed=0)
@@ -316,6 +326,27 @@ def test_synth_blobs_classes_live_in_opposite_corners():
         ul = img[:half, :half].mean()
         lr = img[half:, half:].mean()
         assert (ul > lr) == (label == 0)
+
+
+def test_synth_blobs_match_per_pixel_draws():
+    # the blob set drawn one rng.uniform call at a time: row jitter, column
+    # jitter, then the noise row-major, per image
+    n_per_class, side, seed = 3, 13, 9
+    rng = substream(seed, "synth")
+    rows, cols = np.arange(side)[:, None], np.arange(side)[None, :]
+    want = np.empty((2 * n_per_class, 1, side, side))
+    for i in range(2 * n_per_class):
+        center = (0.3, 0.7)[i // n_per_class] * side
+        cy = center + rng.uniform(-side / 16.0, side / 16.0)
+        cx = center + rng.uniform(-side / 16.0, side / 16.0)
+        blob = 0.75 * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * (side / 6.0) ** 2))
+        noise = np.empty((side, side))
+        for r in range(side):
+            for c in range(side):
+                noise[r, c] = rng.uniform(0.0, 0.15)
+        want[i, 0] = np.clip(blob + noise, 0.0, 1.0)
+    got = synth_blobs(n_per_class, side, seed)
+    np.testing.assert_array_equal(got.images, np.rint(want * 255.0).astype(np.uint8) / 255.0)
 
 
 def test_synth_blobs_argument_errors():

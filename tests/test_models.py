@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from bke import tensor as T
+from bke.rng import substream
 from bke.models import (
     CHECKPOINT_MAGIC,
     BundleSpecs,
@@ -68,6 +69,23 @@ def test_init_respects_fan_in_bounds():
     assert np.all(np.abs(fc1) <= math.sqrt(1.0 / 64.0))
     # bounds are actually explored, not collapsed toward zero
     assert np.abs(w0).max() > 0.5 * math.sqrt(1.0 / 9.0)
+
+
+def test_init_matches_per_parameter_draws():
+    # one rng.uniform(-bound, bound) call per entry, row-major, in init order
+    bundle = init_bundle(TINY, 6)
+    layouts = (
+        ("online_encoder", "encoder",
+         [("stage0.w", 1 * 9), ("stage0.b", 1 * 9), ("stage1.w", 2 * 9), ("stage1.b", 2 * 9)]),
+        ("online_projector", "projector", [("fc1.w", 3), ("fc1.b", 3), ("fc2.w", 4), ("fc2.b", 4)]),
+    )
+    for group, stream, layout in layouts:
+        rng = substream(6, "init", stream)
+        for name, fan_in in layout:
+            arr = getattr(bundle, group)[name]
+            bound = math.sqrt(1.0 / fan_in)
+            want = [rng.uniform(-bound, bound) for _ in range(arr.size)]
+            np.testing.assert_array_equal(arr.ravel(), want)
 
 
 def test_encode_shapes():
@@ -215,6 +233,33 @@ def test_checkpoint_bad_metadata_rejected(tmp_path, input_side):
     path = tmp_path / "model.bkec"
     save_checkpoint(bundle, path)
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_param_names_checked_against_specs(tmp_path):
+    bundle = init_bundle(TINY, 8)
+    bundle.online_encoder["stage0.v"] = bundle.online_encoder.pop("stage0.w")
+    path = tmp_path / "model.bkec"
+    save_checkpoint(bundle, path)
+    with pytest.raises(CheckpointError, match="missing online_encoder/stage0.w"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_param_shapes_checked_against_specs(tmp_path):
+    bundle = init_bundle(TINY, 8)
+    bundle.online_encoder["stage1.b"] = bundle.online_encoder["stage1.b"][:-1]
+    path = tmp_path / "model.bkec"
+    save_checkpoint(bundle, path)
+    with pytest.raises(CheckpointError, match=r"online_encoder/stage1.b has shape \(2,\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_extra_param_rejected(tmp_path):
+    bundle = init_bundle(TINY, 8)
+    bundle.predictor["fc3.w"] = np.zeros((3, 3))
+    path = tmp_path / "model.bkec"
+    save_checkpoint(bundle, path)
+    with pytest.raises(CheckpointError, match="unexpected tensor 'predictor/fc3.w'"):
         load_checkpoint(path)
 
 

@@ -40,6 +40,17 @@ def test_next_float_in_unit_interval():
     assert abs(np.mean(xs) - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("n", [0, 1, 256, 153_600])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_next_floats_equal_scalar_draws_and_leave_same_state(n, seed):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    want = np.array([scalar.next_float() for _ in range(n)], dtype=np.float64)
+    got = block.next_floats(n)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    np.testing.assert_array_equal(got, want)
+    assert block.next_u64() == scalar.next_u64()
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2**64 - 1), st.floats(-100, 100), st.floats(0.001, 100))
 def test_uniform_respects_bounds(seed, lo, width):

@@ -233,9 +233,8 @@ def test_untrained_loss_in_expected_band():
     from bke.augment import make_view_pair
     from bke.rng import substream
 
-    pairs = [make_view_pair(img, substream(3, "augment", 0, i)) for i, img in enumerate(images)]
-    v1 = np.stack([p.v1 for p in pairs])
-    v2 = np.stack([p.v2 for p in pairs])
+    pair = make_view_pair(images, [substream(3, "augment", 0, i) for i in range(len(images))])
+    v1, v2 = pair.v1, pair.v2
     spec = bundle.specs.encoder
     q1 = predict(bundle.predictor, project(bundle.online_projector, encode(bundle.online_encoder, spec, v1)))
     q1p = predict(bundle.predictor, project(bundle.online_projector, encode(bundle.online_encoder, spec, v2)))
