@@ -488,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.command, args)
         return _DISPATCH[args.command](cfg)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -369,6 +369,8 @@ def _read_bundle(fh) -> ModelBundle:
         group, _, pname = full_name.partition("/")
         if group not in groups or not pname:
             raise CheckpointError(f"unexpected tensor {full_name!r} in checkpoint")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint tensor {full_name} holds non-finite values")
         groups[group][pname] = arr
     expected = _param_shapes(specs)
     for group, params in groups.items():

@@ -364,9 +364,17 @@ def reshape(t, shape) -> Tensor:
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution, NCHW input, OIHW weight, per-channel bias.
 
-    The padded input is unfolded once into a channels-last column matrix
-    of shape ``(n*ho*wo, cin*kh*kw)``; the forward pass and both
-    gradients are then one 2-D matmul each.
+    The work is done channels-last. The input is read through its NHWC
+    view and written into a zero-padded ``(n, hp, wp, cin)`` buffer,
+    which is unfolded once into a column matrix of shape
+    ``(n*ho*wo, kh*kw*cin)``: each copy moves a contiguous run of
+    ``cin`` channels. The forward pass and both gradients are then one
+    2-D matmul each.
+
+    Any input layout is accepted, but the output is an NCHW-shaped view
+    of channels-last memory, the GEMM's natural result. So when one
+    conv2d reads another's output (through ``relu``, which keeps the
+    memory order), its NHWC view is free and no layout copy is made.
     """
     xv, wv, bv = _as_value(x), _as_value(w), _as_value(b)
     if xv.ndim != 4 or wv.ndim != 4:
@@ -385,25 +393,26 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, cin * kh * kw)
-    w2 = wv.reshape(cout, cin * kh * kw)
+    xp = np.zeros((n, hp, wp, cin))
+    xp[:, pad : pad + h, pad : pad + wdt] = xv.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * cin)
+    w2 = wv.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = (cols @ w2.T + bv).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def channels_last(g):
         return g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
 
     def vjp_x(g):
-        dcols = (channels_last(g) @ w2).reshape(n, ho, wo, cin, kh, kw)
+        dcols = (channels_last(g) @ w2).reshape(n, ho, wo, kh, kw, cin)
         dxp = np.zeros((n, hp, wp, cin))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += dcols[..., i, j]
+                dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += dcols[:, :, :, i, j]
         return dxp[:, pad : pad + h, pad : pad + wdt].transpose(0, 3, 1, 2)
 
     def vjp_w(g):
-        return (channels_last(g).T @ cols).reshape(wv.shape)
+        return (channels_last(g).T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))

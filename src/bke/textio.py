@@ -41,6 +41,8 @@ def read_float_matrix(path) -> np.ndarray:
                 row = [float(c) for c in cells]
             except ValueError:
                 raise CsvError(f"{path}: line {lineno}: not a float row: {line!r}") from None
+            if not np.isfinite(row).all():
+                raise CsvError(f"{path}: line {lineno}: non-finite value in {line!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:

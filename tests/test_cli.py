@@ -199,6 +199,50 @@ def test_finetune_rejects_checkpoint_with_renamed_param(tmp_path, capsys):
     assert not out.exists()
 
 
+def make_finetuned(tmp_path, prefix, checkpoint):
+    ft_dir = tmp_path / "ft"
+    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint,
+               "--out", ft_dir, "--epochs", 1, "--batch-size", 4) == 0
+    return ft_dir / "model.bkec"
+
+
+def corrupt_param(checkpoint, value, where=(0, 0, 1, 1)):
+    from bke.models import load_checkpoint, save_checkpoint
+
+    bundle = load_checkpoint(checkpoint)
+    bundle.online_encoder["stage0.w"][where] = value
+    save_checkpoint(bundle, checkpoint)
+
+
+@pytest.mark.parametrize("command,bad", [("eval", np.nan), ("finetune", np.inf)])
+def test_checkpoint_with_non_finite_param_rejected(tmp_path, capsys, command, bad):
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    if command == "eval":
+        checkpoint = make_finetuned(tmp_path, prefix, checkpoint)
+    corrupt_param(checkpoint, bad)
+    out = tmp_path / "out"
+    assert run(command, "--data", prefix, "--checkpoint", checkpoint, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint tensor online_encoder/stage0.w holds non-finite values" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_floating_point_error_reported_without_traceback(tmp_path, capsys):
+    # a huge but finite weight loads, then overflows in the encoder
+    prefix = make_dataset(tmp_path)
+    model = make_finetuned(tmp_path, prefix, make_checkpoint(tmp_path, prefix))
+    corrupt_param(model, 1e308, where=...)
+    out = tmp_path / "ev"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("eval", "--data", prefix, "--checkpoint", model, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "produced non-finite values" in err
+    assert not out.exists()
+
+
 def test_pretrain_failure_names_phase_epoch_batch(tmp_path, capsys, monkeypatch):
     prefix = make_dataset(tmp_path)
 
@@ -268,6 +312,21 @@ def test_propagate_reports_malformed_line(tmp_path, capsys):
     assert run("propagate", "--features", bad, "--logits", bad,
                "--out", tmp_path / "q.csv") == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which,cell", [("features", "nan"), ("logits", "inf")])
+def test_propagate_rejects_non_finite_cell(tmp_path, capsys, which, cell):
+    inputs = {"features": DATA_DIR / "features.csv", "logits": DATA_DIR / "logits.csv"}
+    lines = inputs[which].read_text().splitlines()
+    lines[3] = ",".join([cell] + lines[3].split(",")[1:])
+    inputs[which] = tmp_path / f"{which}.csv"
+    inputs[which].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "q.csv"
+    assert run("propagate", "--features", inputs["features"], "--logits", inputs["logits"],
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "line 4: non-finite value" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --- sweep -------------------------------------------------------------------------

@@ -263,6 +263,16 @@ def test_checkpoint_extra_param_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_param_rejected(tmp_path, bad):
+    bundle = init_bundle(TINY, 8)
+    bundle.online_encoder["stage0.w"][1, 0, 2, 1] = bad
+    path = tmp_path / "model.bkec"
+    save_checkpoint(bundle, path)
+    with pytest.raises(CheckpointError, match="online_encoder/stage0.w holds non-finite"):
+        load_checkpoint(path)
+
+
 def _valid_checkpoint() -> bytes:
     bundle = init_bundle(TINY, 4)
     attach_classifier(bundle, n_classes=2, seed=4)

@@ -273,6 +273,56 @@ def test_gradcheck_conv2d_all_inputs(stride, pad):
     assert report.n_components == 2 * 3 * 6 * 5 + 2 * 3 * 3 * 3 + 2
 
 
+def conv2d_and_grads(x, w, b, g, stride, pad):
+    """Forward value and x/w/b gradients of sum(conv2d(x, w, b) * g)."""
+    with T.Tape() as tape:
+        leaves = [tape.leaf(v) for v in (x, w, b)]
+        y = T.conv2d(*leaves, stride=stride, pad=pad)
+        loss = T.scale(T.mean_all(T.mul(y, T.Tensor(g))), float(g.size))
+        grads = tape.backward(loss)
+    return y.data, [grads[leaf.node_id].data for leaf in leaves]
+
+
+def test_chained_conv2d_reads_channels_last_output():
+    # the encoder's layout path: the second conv reads the first one's
+    # output, an NCHW-shaped view of channels-last memory
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(2, 3, 7, 6))
+    w1, b1 = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    w2, b2 = rng.normal(size=(5, 4, 3, 3)), rng.normal(size=5)
+    with T.Tape() as tape:
+        leaves = [tape.leaf(v) for v in (x, w1, b1, w2, b2)]
+        y1 = T.conv2d(*leaves[:3], stride=2, pad=1)
+        assert y1.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        y2 = T.conv2d(y1, *leaves[3:], stride=1, pad=1)
+        g = rng.normal(size=y2.shape)
+        loss = T.scale(T.mean_all(T.mul(y2, T.Tensor(g))), float(g.size))
+        grads = tape.backward(loss)
+    want_y1 = naive_conv2d(x, w1, b1, 2, 1)
+    np.testing.assert_allclose(y1.data, want_y1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y2.data, naive_conv2d(want_y1, w2, b2, 1, 1), rtol=0, atol=1e-12)
+    dy1, dw2, db2 = naive_conv2d_grads(want_y1, w2, g, 1, 1)
+    dx, dw1, db1 = naive_conv2d_grads(x, w1, dy1, 2, 1)
+    for leaf, expected in zip(leaves, (dx, dw1, db1, dw2, db2)):
+        np.testing.assert_allclose(grads[leaf.node_id].data, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+def test_conv2d_is_layout_independent(stride, pad):
+    rng = np.random.default_rng(41 + stride + 10 * pad)
+    x = rng.normal(size=(2, 3, 6, 5))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    x_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert np.array_equal(x_last, x) and not x_last.flags.c_contiguous
+    g = rng.normal(size=T.conv2d(x, w, b, stride=stride, pad=pad).shape)
+    y, grads = conv2d_and_grads(x, w, b, g, stride, pad)
+    y_last, grads_last = conv2d_and_grads(x_last, w, b, g, stride, pad)
+    assert np.array_equal(y, y_last)
+    for got, want in zip(grads_last, grads):
+        assert np.array_equal(got, want)
+
+
 def test_conv2d_shape_errors():
     with pytest.raises(ValueError, match="channels"):
         T.conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)), np.zeros(1))

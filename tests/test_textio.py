@@ -56,3 +56,11 @@ def test_empty_file_rejected(tmp_path):
 def test_non_2d_write_rejected(tmp_path):
     with pytest.raises(ValueError, match="2-D"):
         write_float_matrix(np.zeros(3), tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_cell_names_one_based_line(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n\n3,{cell}\n")
+    with pytest.raises(CsvError, match="line 3: non-finite"):
+        read_float_matrix(path)
