@@ -7,6 +7,11 @@ produces artifacts echoes its effective configuration as JSON next to
 them, and every command is deterministic given (config, seed): rerunning
 writes byte-identical files.
 
+The pretrain, finetune and sweep options are the fields of ``SslConfig``
+and ``BkeConfig`` (``--lambda`` sets ``BkeConfig.lam``). Configs and
+model specs check themselves when they are built, so a bad value fails
+before any training starts or any file is written.
+
 Datasets are referenced by prefix: ``<prefix>.bkei`` (images),
 ``<prefix>.bkel`` (labels), ``<prefix>.split.json`` (train/test split).
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +75,35 @@ class Field:
     choices: tuple | None = None
 
 
-_SSL_FIELDS = [
-    Field("epochs", int, SslConfig.epochs, "pretraining epochs"),
-    Field("batch_size", int, SslConfig.batch_size, "pretraining batch size"),
-    Field("learning_rate", float, SslConfig.learning_rate, "SGD learning rate"),
-    Field("momentum", float, SslConfig.momentum, "SGD momentum"),
-    Field("zeta", float, SslConfig.zeta, "EMA decay for the target network"),
-]
+# help for the fields of SslConfig and BkeConfig
+_HELP = {
+    "epochs": "training epochs",
+    "batch_size": "training batch size (the graph size N when fine-tuning)",
+    "learning_rate": "SGD learning rate",
+    "momentum": "SGD momentum",
+    "zeta": "EMA decay for the target network",
+    "seed": "RNG seed",
+    "omega": "ensembling weight in [0,1)",
+    "lam": "weight of the KL term",
+    "tau": "softmax temperature for soft targets",
+    "positive_class": "class treated as positive",
+}
+# config field -> option, where the field name is a Python keyword
+_OPTION = {"lam": "lambda"}
 
-_BKE_FIELDS = [
-    Field("omega", float, BkeConfig.omega, "ensembling weight in [0,1)"),
-    Field("batch_size", int, BkeConfig.batch_size, "fine-tuning batch size N"),
-    Field("lambda", float, BkeConfig.lam, "weight of the KL term"),
-    Field("tau", float, BkeConfig.tau, "softmax temperature for soft targets"),
-    Field("epochs", int, BkeConfig.epochs, "fine-tuning epochs"),
-    Field("learning_rate", float, BkeConfig.learning_rate, "SGD learning rate"),
-    Field("momentum", float, BkeConfig.momentum, "SGD momentum"),
-    Field("positive_class", int, BkeConfig.positive_class, "class treated as positive"),
-    Field("fraction", float, 1.0, "per-class fraction of labeled training data"),
-]
+
+def _config_fields(cls) -> list[Field]:
+    """One option per field of a config dataclass, of its default's type."""
+    return [Field(_OPTION.get(f.name, f.name), type(f.default), f.default, _HELP[f.name])
+            for f in fields(cls)]
+
+
+def _config(cls, cfg: dict):
+    """The config dataclass the options describe; building it checks it."""
+    return cls(**{f.name: cfg[_OPTION.get(f.name, f.name)] for f in fields(cls)})
+
+
+_FRACTION = Field("fraction", float, 1.0, "per-class fraction of labeled training data")
 
 COMMANDS: dict[str, list[Field]] = {
     "synth": [
@@ -101,15 +116,14 @@ COMMANDS: dict[str, list[Field]] = {
     "pretrain": [
         Field("data", str, None, "dataset prefix", required=True),
         Field("out", str, None, "output directory", required=True),
-        Field("seed", int, 0, "RNG seed"),
-        *_SSL_FIELDS,
+        *_config_fields(SslConfig),
     ],
     "finetune": [
         Field("data", str, None, "dataset prefix", required=True),
         Field("checkpoint", str, None, "Phase-I checkpoint path", required=True),
         Field("out", str, None, "output directory", required=True),
-        Field("seed", int, 0, "RNG seed"),
-        *_BKE_FIELDS,
+        *_config_fields(BkeConfig),
+        _FRACTION,
     ],
     "eval": [
         Field("data", str, None, "dataset prefix", required=True),
@@ -134,8 +148,8 @@ COMMANDS: dict[str, list[Field]] = {
         Field("param", str, None, "hyperparameter to sweep", required=True,
               choices=tuple(DEFAULT_GRIDS)),
         Field("values", str, "", "comma-separated grid (default: built-in grid)"),
-        Field("seed", int, 0, "RNG seed"),
-        *_BKE_FIELDS,
+        *_config_fields(BkeConfig),
+        _FRACTION,
     ],
     "gradcheck": [
         Field("seed", int, 0, "RNG seed for the random instances"),
@@ -225,35 +239,15 @@ def _load_dataset(prefix: str):
     return container, split
 
 
-def _subsample_split(container, split: SplitSpec, fraction: float, seed: int) -> SplitSpec:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return split
+def _finetune_data(cfg: dict):
+    """The dataset and its split, with the train side cut to a per-class fraction."""
+    container, split = _load_dataset(cfg["data"])
+    if not split.test_indices:
+        raise ConfigError(f"{split_path(cfg['data'])}: split has no test indices")
     train = list(split.train_indices)
-    keep = stratified_subsample(container.labels[train], fraction, seed)
-    return SplitSpec(
-        train_indices=tuple(train[i] for i in keep),
-        test_indices=split.test_indices,
-        fraction=fraction,
-        seed=seed,
-    )
-
-
-def _bke_config(cfg: dict) -> BkeConfig:
-    config = BkeConfig(
-        omega=cfg["omega"],
-        batch_size=cfg["batch_size"],
-        lam=cfg["lambda"],
-        tau=cfg["tau"],
-        epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"],
-        momentum=cfg["momentum"],
-        seed=cfg["seed"],
-        positive_class=cfg["positive_class"],
-    )
-    config.validate()
-    return config
+    keep = stratified_subsample(container.labels[train], cfg["fraction"], cfg["seed"])
+    return container, replace(split, train_indices=tuple(train[i] for i in keep),
+                              fraction=cfg["fraction"], seed=cfg["seed"])
 
 
 # --- commands ----------------------------------------------------------------
@@ -277,16 +271,9 @@ def _cmd_synth(cfg: dict) -> int:
 
 
 def _cmd_pretrain(cfg: dict) -> int:
+    ssl_cfg = _config(SslConfig, cfg)
     container, split = _load_dataset(cfg["data"])
     images = container.images[list(split.train_indices)]
-    ssl_cfg = SslConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        momentum=cfg["momentum"],
-        zeta=cfg["zeta"],
-        seed=cfg["seed"],
-    )
     bundle, history = pretrain(images, ssl_cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,11 +289,8 @@ def _cmd_pretrain(cfg: dict) -> int:
 
 
 def _cmd_finetune(cfg: dict) -> int:
-    container, split = _load_dataset(cfg["data"])
-    if not split.test_indices:
-        raise ConfigError(f"{split_path(cfg['data'])}: split has no test indices")
-    split = _subsample_split(container, split, cfg["fraction"], cfg["seed"])
-    config = _bke_config(cfg)
+    config = _config(BkeConfig, cfg)
+    container, split = _finetune_data(cfg)
     bundle, history, report = finetune(container, split, cfg["checkpoint"], config)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -386,23 +370,17 @@ def _parse_grid(param: str, raw: str) -> list:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    container, split = _load_dataset(cfg["data"])
-    if not split.test_indices:
-        raise ConfigError(f"{split_path(cfg['data'])}: split has no test indices")
-    split = _subsample_split(container, split, cfg["fraction"], cfg["seed"])
-    base = _bke_config(cfg)
     grid = _parse_grid(cfg["param"], cfg["values"])
-    attr = {"lambda": "lam"}.get(cfg["param"], cfg["param"])
-
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every grid point's config is built (and so checked) before any training
+    configs = [_config(BkeConfig, {**cfg, cfg["param"]: value}) for value in grid]
+    container, split = _finetune_data(cfg)
     rows = []
-    for value in grid:
-        config = replace(base, **{attr: value})
-        config.validate()
+    for value, config in zip(grid, configs):
         _, _, report = finetune(container, split, cfg["checkpoint"], config)
         rows.append((cfg["param"], value, report.means["hm"], report.means["acc"]))
         print(f"{cfg['param']}={value}: hm {rows[-1][2]:.4f}, acc {rows[-1][3]:.4f}")
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write("param,value,hm,acc\n")
         for param, value, hm, acc in rows:

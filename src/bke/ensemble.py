@@ -38,7 +38,7 @@ from .optim import SgdMomentum
 from .selfsup import CollapseError
 
 
-@dataclass
+@dataclass(frozen=True)
 class BkeConfig:
     omega: float = 0.5
     batch_size: int = 128
@@ -50,7 +50,7 @@ class BkeConfig:
     seed: int = 0
     positive_class: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.omega < 1.0:
             raise ValueError(f"omega must be in [0, 1), got {self.omega}")
         if self.lam < 0.0:
@@ -88,9 +88,17 @@ def similarity_matrix(features) -> np.ndarray:
     n = len(feats)
     if n < 2:
         raise ValueError("similarity_matrix: need at least 2 rows (no peer knowledge)")
-    norms = np.sqrt((feats * feats).sum(axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("similarity_matrix: zero feature row")
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((feats * feats).sum(axis=1))
+    # squares overflow above ~1e154 and vanish below ~1e-162; the cosine is
+    # scale-free, so such rows are divided by their largest |entry| first
+    rescale = ~np.isfinite(norms) | (norms == 0.0)
+    if np.any(rescale):
+        if not feats[rescale].any(axis=1).all():
+            raise ValueError("similarity_matrix: zero feature row")
+        feats = feats.copy()
+        feats[rescale] /= np.abs(feats[rescale]).max(axis=1, keepdims=True)
+        norms[rescale] = np.sqrt((feats[rescale] * feats[rescale]).sum(axis=1))
     unit = feats / norms[:, None]
     raw = unit @ unit.T
     np.fill_diagonal(raw, 0.0)
@@ -235,7 +243,6 @@ def finetune(
     cannot be computed raises :class:`CollapseError` naming the epoch and
     the batch's first index.
     """
-    config.validate()
     bundle = checkpoint if isinstance(checkpoint, ModelBundle) else load_checkpoint(Path(checkpoint))
     attach_classifier(bundle, container.n_classes, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)

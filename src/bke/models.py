@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +46,7 @@ class EncoderSpec:
     def feature_dim(self) -> int:
         return self.conv_stages[-1][0]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_side < 8:
             raise ValueError(f"input_side must be >= 8, got {self.input_side}")
         if not self.conv_stages:
@@ -64,13 +64,15 @@ class MlpSpec:
     hidden_dim: int
     out_dim: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.in_dim, self.hidden_dim, self.out_dim) < 1:
             raise ValueError(f"all MLP dims must be >= 1, got {self}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BundleSpecs:
+    """The four specs must fit together; each spec checks itself."""
+
     encoder: EncoderSpec
     projector: MlpSpec
     predictor: MlpSpec
@@ -86,18 +88,13 @@ class BundleSpecs:
             predictor=MlpSpec(32, 32, 32),
         )
 
-    def validate(self) -> None:
-        self.encoder.validate()
-        self.projector.validate()
-        self.predictor.validate()
+    def __post_init__(self) -> None:
         if self.projector.in_dim != self.encoder.feature_dim:
             raise ValueError("projector in_dim must equal encoder feature_dim")
         if self.predictor.in_dim != self.projector.out_dim:
             raise ValueError("predictor in_dim must equal projector out_dim")
-        if self.classifier is not None:
-            self.classifier.validate()
-            if self.classifier.in_dim != self.encoder.feature_dim:
-                raise ValueError("classifier in_dim must equal encoder feature_dim")
+        if self.classifier is not None and self.classifier.in_dim != self.encoder.feature_dim:
+            raise ValueError("classifier in_dim must equal encoder feature_dim")
 
 
 @dataclass
@@ -154,7 +151,6 @@ def _copy_params(params: Params) -> Params:
 def init_bundle(specs: BundleSpecs, seed: int) -> ModelBundle:
     """Deterministic init; the target side starts as an exact copy of the
     online side."""
-    specs.validate()
     online_encoder = _init_params(_encoder_shapes(specs.encoder),
                                   substream(seed, "init", "encoder"))
     online_projector = _init_params(_mlp_shapes(specs.projector),
@@ -184,7 +180,6 @@ def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int) -> None:
     if n_classes < 2:
         raise ValueError("classifier needs at least 2 classes")
     spec = MlpSpec(bundle.specs.encoder.feature_dim, CLASSIFIER_HIDDEN_DIM, n_classes)
-    spec.validate()
     bundle.specs = replace(bundle.specs, classifier=spec)
     bundle.classifier = _init_params(_mlp_shapes(spec), substream(seed, "init", "classifier"))
 
@@ -247,17 +242,11 @@ def _meta_records(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
         ("meta/input_side", np.array([specs.encoder.input_side], dtype=np.float64)),
         ("meta/conv_channels", np.array([c for c, _ in specs.encoder.conv_stages], dtype=np.float64)),
         ("meta/conv_strides", np.array([s for _, s in specs.encoder.conv_stages], dtype=np.float64)),
-        ("meta/projector_dims", np.array(
-            [specs.projector.in_dim, specs.projector.hidden_dim, specs.projector.out_dim],
-            dtype=np.float64)),
-        ("meta/predictor_dims", np.array(
-            [specs.predictor.in_dim, specs.predictor.hidden_dim, specs.predictor.out_dim],
-            dtype=np.float64)),
     ]
-    if specs.classifier is not None:
-        records.append(("meta/classifier_dims", np.array(
-            [specs.classifier.in_dim, specs.classifier.hidden_dim, specs.classifier.out_dim],
-            dtype=np.float64)))
+    for name in ("projector", "predictor", "classifier"):
+        spec = getattr(specs, name)
+        if spec is not None:
+            records.append((f"meta/{name}_dims", np.array(astuple(spec), dtype=np.float64)))
     return records
 
 
@@ -348,21 +337,20 @@ def _read_bundle(fh) -> ModelBundle:
             raise CheckpointError(f"checkpoint missing {name}")
         return tensors.pop(name)
 
+    def mlp(name: str) -> MlpSpec:
+        return MlpSpec(*[int(d) for d in meta(f"meta/{name}_dims")])
+
     seed_parts = meta("meta/init_seed")
     init_seed = int(seed_parts[0]) | (int(seed_parts[1]) << 32)
     input_side = int(meta("meta/input_side")[0])
     channels = [int(c) for c in meta("meta/conv_channels")]
     strides = [int(s) for s in meta("meta/conv_strides")]
-    proj = [int(d) for d in meta("meta/projector_dims")]
-    pred = [int(d) for d in meta("meta/predictor_dims")]
     specs = BundleSpecs(
         encoder=EncoderSpec(input_side=input_side, conv_stages=tuple(zip(channels, strides))),
-        projector=MlpSpec(*proj),
-        predictor=MlpSpec(*pred),
+        projector=mlp("projector"),
+        predictor=mlp("predictor"),
+        classifier=mlp("classifier") if "meta/classifier_dims" in tensors else None,
     )
-    if "meta/classifier_dims" in tensors:
-        specs.classifier = MlpSpec(*[int(d) for d in meta("meta/classifier_dims")])
-    specs.validate()
 
     groups: dict[str, Params] = {g: {} for g in _GROUP_ORDER}
     for full_name, arr in tensors.items():

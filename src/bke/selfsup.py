@@ -43,7 +43,7 @@ class CollapseError(RuntimeError):
     """Training degenerated: non-finite loss or constant features."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SslConfig:
     epochs: int = 40
     batch_size: int = 256
@@ -52,7 +52,7 @@ class SslConfig:
     zeta: float = 0.996
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0.0:
@@ -118,11 +118,9 @@ def ssl_step(
     images: np.ndarray,
     config: SslConfig,
     optimizer: SgdMomentum,
-    view_rngs: list[SplitMix64] | None = None,
+    view_rngs: list[SplitMix64],
 ) -> SslBatchOutputs:
     """One optimization step on a batch of source images (in place)."""
-    if view_rngs is None:
-        view_rngs = [substream(config.seed, "augment", 0, i) for i in range(len(images))]
     pair = make_view_pair(images, view_rngs)
     v1, v2 = pair.v1, pair.v2
 
@@ -164,10 +162,8 @@ def pretrain(
     config: SslConfig,
     specs: BundleSpecs | None = None,
     checkpoint_path=None,
-    log_path=None,
 ) -> tuple[ModelBundle, list[SslEpochLog]]:
     """Full Phase I loop with deterministic shuffling and view sampling."""
-    config.validate()
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) == 0:
         raise ValueError(f"pretrain: expected nonempty (M, 1, H, W) images, got {images.shape}")
@@ -202,8 +198,6 @@ def pretrain(
                 f"for {COLLAPSE_PATIENCE} consecutive epochs (through epoch {epoch})"
             )
 
-    if log_path is not None:
-        write_loss_csv(history, log_path)
     if checkpoint_path is not None:
         save_checkpoint(bundle, checkpoint_path)
     return bundle, history

@@ -141,6 +141,21 @@ def test_full_pipeline(tmp_path, capsys):
     assert "evaluated 4 test images" in capsys.readouterr().out
 
 
+def test_echoed_config_keys(tmp_path):
+    """The training options are the config fields; pin the keys they echo."""
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    train = ("--data", prefix, "--checkpoint", checkpoint, "--epochs", 1, "--batch-size", 4)
+    assert run("finetune", *train, "--out", tmp_path / "ft") == 0
+    assert run("sweep", *train, "--out", tmp_path / "sw", "--param", "tau", "--values", "2") == 0
+    shared = {"command", "data", "out", "seed", "epochs", "batch_size", "learning_rate",
+              "momentum"}
+    finetune = shared | {"checkpoint", "omega", "lambda", "tau", "positive_class", "fraction"}
+    for out_dir, keys in (("pre", shared | {"zeta"}), ("ft", finetune),
+                          ("sw", finetune | {"param", "values"})):
+        assert set(json.loads((tmp_path / out_dir / "config.json").read_text())) == keys
+
+
 def test_finetune_rerun_is_byte_identical(tmp_path):
     prefix = make_dataset(tmp_path)
     checkpoint = make_checkpoint(tmp_path, prefix)
@@ -344,6 +359,18 @@ def test_sweep_explicit_grid(tmp_path, capsys):
     assert len(lines) == 3
     assert all(line.startswith("omega,") for line in lines[1:])
     assert "omega=0.2" in capsys.readouterr().out
+
+
+def test_sweep_rejects_out_of_range_grid_value_before_training(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("bke.cli.finetune", lambda *a: calls.append(a))
+    prefix = make_dataset(tmp_path)
+    out_dir = tmp_path / "sweep"
+    assert run("sweep", "--data", prefix, "--checkpoint", "x", "--out", out_dir,
+               "--param", "omega", "--values", "0.5,1.5") == 1
+    assert "omega must be in [0, 1), got 1.5" in capsys.readouterr().err
+    assert calls == []
+    assert not out_dir.exists()
 
 
 def test_sweep_default_grids_have_expected_sizes():

@@ -1,3 +1,5 @@
+import warnings
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +75,26 @@ def test_similarity_matrix_rejects_degenerate_input():
         similarity_matrix(np.ones((1, 4)))
     with pytest.raises(ValueError, match="zero feature row"):
         similarity_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_soft_targets_scale_free_at_extreme_magnitudes(scale):
+    # squared entries overflow (1e200) or underflow to 0 (1e-170); the
+    # cosine graph, and so the soft targets, must not notice
+    rng = np.random.default_rng(11)
+    feats, logits = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+
+    def targets(x):
+        y_hat = normalize_similarity(similarity_matrix(x))
+        return soft_targets_closed_form(y_hat, probabilities(logits, 1.0).values, 0.5).values
+
+    want = targets(feats)
+    one_row = feats.copy()
+    one_row[0] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (scale * feats, one_row):
+            np.testing.assert_allclose(targets(x), want, rtol=0, atol=1e-12)
 
 
 def test_normalize_similarity_row_stochastic():
@@ -365,10 +387,18 @@ def test_evaluate_classifier_batch_size_invariant():
 
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="omega"):
-        BkeConfig(omega=1.0).validate()
+        BkeConfig(omega=1.0)
     with pytest.raises(ValueError, match="tau"):
-        BkeConfig(tau=0.0).validate()
+        BkeConfig(tau=0.0)
     with pytest.raises(ValueError, match="lam"):
-        BkeConfig(lam=-0.5).validate()
+        BkeConfig(lam=-0.5)
     with pytest.raises(ValueError, match="positive_class"):
-        BkeConfig(positive_class=-1).validate()
+        BkeConfig(positive_class=-1)
+
+
+def test_configs_are_frozen_and_checked_on_replace():
+    config = BkeConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.omega = 1.0
+    with pytest.raises(ValueError, match="omega must be in"):
+        replace(config, omega=1.0)

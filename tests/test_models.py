@@ -1,7 +1,7 @@
 import math
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,21 +127,32 @@ def test_attach_classifier_and_classify():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="stride"):
-        EncoderSpec(conv_stages=((4, 3),)).validate()
+        EncoderSpec(conv_stages=((4, 3),))
     with pytest.raises(ValueError, match="input_side"):
-        EncoderSpec(input_side=4).validate()
+        EncoderSpec(input_side=4)
     with pytest.raises(ValueError, match="feature_dim"):
         BundleSpecs(
             encoder=EncoderSpec(),
             projector=MlpSpec(10, 4, 3),
             predictor=MlpSpec(3, 3, 3),
-        ).validate()
+        )
     with pytest.raises(ValueError, match="projector out_dim"):
         BundleSpecs(
             encoder=EncoderSpec(),
             projector=MlpSpec(64, 4, 3),
             predictor=MlpSpec(5, 3, 3),
-        ).validate()
+        )
+
+
+def test_specs_are_frozen_and_checked_on_replace():
+    with pytest.raises(FrozenInstanceError):
+        TINY.encoder.input_side = 4
+    with pytest.raises(FrozenInstanceError):
+        TINY.classifier = MlpSpec(3, 4, 2)
+    with pytest.raises(ValueError, match="dims must be >= 1"):
+        replace(TINY.projector, hidden_dim=0)
+    with pytest.raises(ValueError, match="classifier in_dim"):
+        replace(TINY, classifier=MlpSpec(5, 4, 2))
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -228,10 +239,14 @@ def test_checkpoint_non_utf8_name_rejected(tmp_path):
 
 @pytest.mark.parametrize("input_side", [math.nan, math.inf, 4.0])
 def test_checkpoint_bad_metadata_rejected(tmp_path, input_side):
-    bundle = init_bundle(TINY, 8)
-    bundle.specs = replace(bundle.specs, encoder=replace(TINY.encoder, input_side=input_side))
+    # an invalid EncoderSpec cannot be built, so forge the saved value:
+    # the record's name is followed by its rank (u8) and its one dim (u32)
     path = tmp_path / "model.bkec"
-    save_checkpoint(bundle, path)
+    save_checkpoint(init_bundle(TINY, 8), path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"meta/input_side") + len("meta/input_side") + 1 + 4
+    blob[at : at + 8] = struct.pack("<d", input_side)
+    path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="corrupt checkpoint"):
         load_checkpoint(path)
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from bke import selfsup
 from bke import tensor as T
 from bke.models import BundleSpecs, EncoderSpec, MlpSpec, encode, init_bundle, predict, project
 from bke.optim import SgdMomentum
+from bke.rng import substream
 from bke.selfsup import (
     CollapseError,
     SslConfig,
@@ -172,10 +175,15 @@ def step_config(**kwargs):
     return SslConfig(**base)
 
 
+def step_rngs(config):
+    """One view stream per image of images_fixture(), keyed as pretrain keys epoch 0."""
+    return [substream(config.seed, "augment", 0, i) for i in range(8)]
+
+
 def test_ssl_step_outputs_consistent():
     bundle = init_bundle(TINY, 17)
     config = step_config()
-    out = ssl_step(bundle, images_fixture(), config, SgdMomentum(0.05, 0.9))
+    out = ssl_step(bundle, images_fixture(), config, SgdMomentum(0.05, 0.9), step_rngs(config))
     assert out.loss_total == out.loss_cv + out.loss_cm
     assert 0.0 <= out.loss_cv <= 4.0 and 0.0 <= out.loss_cm <= 4.0
     assert out.feature_std > 0.0
@@ -184,8 +192,9 @@ def test_ssl_step_outputs_consistent():
 def test_ssl_step_zeta_one_freezes_target():
     bundle = init_bundle(TINY, 19)
     before = {k: v.copy() for k, v in bundle.target_encoder.items()}
+    config = step_config(zeta=1.0)
     for _ in range(3):
-        ssl_step(bundle, images_fixture(), step_config(zeta=1.0), SgdMomentum(0.05, 0.9))
+        ssl_step(bundle, images_fixture(), config, SgdMomentum(0.05, 0.9), step_rngs(config))
     for k in before:
         np.testing.assert_array_equal(bundle.target_encoder[k], before[k])
     # online side did move
@@ -195,7 +204,8 @@ def test_ssl_step_zeta_one_freezes_target():
 
 def test_ssl_step_zeta_zero_copies_online():
     bundle = init_bundle(TINY, 23)
-    ssl_step(bundle, images_fixture(), step_config(zeta=0.0), SgdMomentum(0.05, 0.9))
+    config = step_config(zeta=0.0)
+    ssl_step(bundle, images_fixture(), config, SgdMomentum(0.05, 0.9), step_rngs(config))
     for k in bundle.online_encoder:
         np.testing.assert_array_equal(bundle.target_encoder[k], bundle.online_encoder[k])
     for k in bundle.online_projector:
@@ -216,7 +226,8 @@ def test_pretrain_loss_csv_format(tmp_path):
     images = images_fixture(n=6)
     config = SslConfig(epochs=3, batch_size=4, seed=2)
     log = tmp_path / "loss.csv"
-    _, history = pretrain(images, config, specs=TINY, log_path=log)
+    _, history = pretrain(images, config, specs=TINY)
+    write_loss_csv(history, log)
     lines = log.read_text().strip().split("\n")
     assert lines[0] == "epoch,loss_cv,loss_cm,loss_total"
     assert len(lines) == 1 + config.epochs
@@ -281,8 +292,15 @@ def test_value_error_reported_with_location(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError, match="zeta"):
-        SslConfig(zeta=1.5).validate()
+        SslConfig(zeta=1.5)
     with pytest.raises(ValueError, match="learning_rate"):
-        SslConfig(learning_rate=0.0).validate()
+        SslConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="momentum"):
-        SslConfig(momentum=1.0).validate()
+        SslConfig(momentum=1.0)
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    with pytest.raises(FrozenInstanceError):
+        SslConfig().zeta = 0.5
+    with pytest.raises(ValueError, match="zeta must be in"):
+        replace(SslConfig(), zeta=1.5)
