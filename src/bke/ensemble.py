@@ -53,14 +53,17 @@ class BkeConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega < 1.0:
             raise ValueError(f"omega must be in [0, 1), got {self.omega}")
-        if self.lam < 0.0:
+        # written as `not x >= 0.0` so that NaN fails them too
+        if not self.lam >= 0.0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.positive_class < 0:
             raise ValueError(f"positive_class must be >= 0, got {self.positive_class}")
 

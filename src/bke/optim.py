@@ -22,7 +22,7 @@ class SgdMomentum:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:  # NaN fails it too
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")

@@ -6,24 +6,42 @@ substreams, so any component can be replayed in isolation with an
 identical stream. The generator is SplitMix64: trivially portable,
 bit-stable across platforms, and good enough statistically for
 desk-scale experiments.
+
+The state of a SplitMix64 stream is one uint64 that each draw advances by
+a fixed step, so draw k of a stream is the mix of ``state + k * step``.
+That lets a batch of streams run as lanes of one uint64 array:
+:func:`substream_states` derives many substreams at once and
+:func:`lane_draws` reads any window of every lane's stream.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the same constants as uint64 scalars: numpy would convert a Python int on every operation
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MUL1, _U_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _mix(z):
-    """SplitMix64 finalizer, of an int or of a uint64 array (which wraps)."""
+def _mix(z: int) -> int:
+    """SplitMix64 finalizer."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of each entry of a uint64 array (which wraps)."""
+    z = (z ^ (z >> _U30)) * _U_MUL1
+    z = (z ^ (z >> _U27)) * _U_MUL2
+    return z ^ (z >> _U31)
 
 
 def _fnv1a(text: str) -> int:
@@ -50,8 +68,8 @@ class SplitMix64:
     def next_floats(self, n: int) -> np.ndarray:
         """n uniform draws in [0, 1) at once: the values of n next_float()
         calls, leaving the state where they would."""
-        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        out = (_mix(steps + np.uint64(self._state)) >> np.uint64(11)) * 2.0**-53
+        steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
+        out = _unit(_mix_array(steps + np.uint64(self._state)))
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return out
 
@@ -89,7 +107,53 @@ def substream(seed: int, *path: object) -> SplitMix64:
     form followed by the SplitMix64 mix, so ("augment", 3, 7) and
     ("augment", 37) land in unrelated streams.
     """
+    return SplitMix64(_fold(seed, path))
+
+
+def _fold(seed: int, path) -> int:
     h = seed & _MASK64
     for part in path:
         h = _mix(h ^ _fnv1a(str(part)))
-    return SplitMix64(h)
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _fnv1a_table(size: int) -> np.ndarray:
+    """FNV-1a of str(i) for every i < size, as a read-only uint64 array."""
+    table = np.array([_fnv1a(str(i)) for i in range(size)], dtype=np.uint64)
+    table.setflags(write=False)
+    return table
+
+
+def substream_states(indices, seed: int, *path: object) -> np.ndarray:
+    """The states of substream(seed, *path, i) for each non-negative int i
+    of indices, as a uint64 array: one lane per index."""
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if idx.min(initial=0) < 0:
+        raise ValueError("substream_states: indices must be >= 0")
+    # tables come in powers of two, so a growing dataset builds few of them
+    table = _fnv1a_table(1 << int(idx.max(initial=0)).bit_length())
+    return _mix_array(np.uint64(_fold(seed, path)) ^ table[idx])
+
+
+def lane_draws(states, offsets, count: int) -> np.ndarray:
+    """(lanes, count) uint64: row i holds draws offsets[i] + 1 to
+    offsets[i] + count of the stream in state states[i], the values
+    next_u64 would give; offsets is one int or one per lane."""
+    steps = (np.asarray(offsets).reshape(-1, 1) + np.arange(1, count + 1)).astype(np.uint64)
+    return _mix_array(np.asarray(states).reshape(-1, 1) + steps * _U_GOLDEN)
+
+
+def lane_floats(states, offsets, count: int) -> np.ndarray:
+    """lane_draws as next_float gives them: uniform in [0, 1)."""
+    return _unit(lane_draws(states, offsets, count))
+
+
+def _unit(draws: np.ndarray) -> np.ndarray:
+    """What next_float makes of each raw uint64 draw."""
+    return (draws >> _U11) * 2.0**-53
+
+
+def advance_lanes(states: np.ndarray, counts) -> np.ndarray:
+    """The states of the lanes after counts[i] draws of lane i."""
+    return states + np.asarray(counts).astype(np.uint64) * _U_GOLDEN

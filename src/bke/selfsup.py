@@ -32,7 +32,7 @@ from .models import (
     save_checkpoint,
 )
 from .optim import SgdMomentum, ema_update
-from .rng import SplitMix64, substream
+from .rng import substream_states
 from .textio import fmt_float
 
 COLLAPSE_STD_THRESHOLD = 1e-6
@@ -55,7 +55,7 @@ class SslConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:  # NaN fails it too
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -118,10 +118,11 @@ def ssl_step(
     images: np.ndarray,
     config: SslConfig,
     optimizer: SgdMomentum,
-    view_rngs: list[SplitMix64],
+    view_states: np.ndarray,
 ) -> SslBatchOutputs:
-    """One optimization step on a batch of source images (in place)."""
-    pair = make_view_pair(images, view_rngs)
+    """One optimization step on a batch of source images (in place);
+    image i draws its views from the lane state view_states[i]."""
+    pair = make_view_pair(images, view_states)
     v1, v2 = pair.v1, pair.v2
 
     spec = bundle.specs.encoder
@@ -179,9 +180,9 @@ def pretrain(
         std_sum = 0.0
         count = 0
         for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
-            rngs = [substream(config.seed, "augment", epoch, idx) for idx in batch]
+            states = substream_states(batch, config.seed, "augment", epoch)
             try:
-                out = ssl_step(bundle, images[batch], config, optimizer, rngs)
+                out = ssl_step(bundle, images[batch], config, optimizer, states)
             except (FloatingPointError, ValueError) as exc:
                 raise CollapseError(
                     f"pretrain failed at epoch {epoch}, batch starting {batch[0]}: {exc}"

@@ -47,7 +47,7 @@ __all__ = [
 
 
 def _check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"{context} produced non-finite values")
 
 
@@ -264,7 +264,8 @@ def matmul(a, b) -> Tensor:
 def relu(t) -> Tensor:
     tv = _as_value(t)
     mask = tv > 0.0
-    return _result("relu", np.where(mask, tv, 0.0), (t,), (lambda g: g * mask,))
+    # np.maximum keeps tv's memory layout and turns -0.0 into +0.0
+    return _result("relu", np.maximum(tv, 0.0), (t,), (lambda g: g * mask,))
 
 
 def mean_all(t) -> Tensor:

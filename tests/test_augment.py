@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,19 +7,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bke import augment
 from bke.augment import (
     BLUR_PROB,
+    BLUR_SIGMA_RANGE,
+    BRIGHTNESS_RANGE,
+    CONTRAST_RANGE,
     CROP_AREA_RANGE,
     CROP_RATIO_RANGE,
     HFLIP_PROB,
-    TransformParams,
+    ViewParams,
     _gaussian_kernels,
     apply,
-    identity_params,
     make_view_pair,
-    sample_params,
+    sample_views,
 )
-from bke.rng import SplitMix64, substream
+from bke.rng import SplitMix64, substream_states
+
+
+@dataclass(frozen=True)
+class TransformParams:
+    """One view's parameters: crop_box is (x, y, w, h) in source pixels;
+    blur_sigma 0 means no blur."""
+
+    crop_box: tuple[int, int, int, int]
+    hflip: bool
+    brightness_delta: float
+    contrast_factor: float
+    blur_sigma: float
+    target_side: int
+
+
+def identity_params(side: int) -> TransformParams:
+    return TransformParams((0, 0, side, side), False, 0.0, 1.0, 0.0, side)
+
+
+def stack(params) -> ViewParams:
+    """The struct of arrays apply takes, from a list of TransformParams."""
+    return ViewParams(np.array([p.crop_box for p in params], dtype=np.int64).reshape(-1, 4),
+                      np.array([p.hflip for p in params], dtype=bool),
+                      np.array([p.brightness_delta for p in params], dtype=np.float64),
+                      np.array([p.contrast_factor for p in params], dtype=np.float64),
+                      np.array([p.blur_sigma for p in params], dtype=np.float64),
+                      np.array([p.target_side for p in params], dtype=np.int64))
+
+
+def unstack(params: ViewParams) -> list[TransformParams]:
+    return [TransformParams(tuple(int(v) for v in box), bool(flip), float(b), float(c),
+                            float(sigma), int(side))
+            for box, flip, b, c, sigma, side in zip(
+                params.crop_box, params.hflip, params.brightness_delta,
+                params.contrast_factor, params.blur_sigma, params.target_side)]
+
+
+def sample_one(seed: int, side: int) -> TransformParams:
+    """One view drawn by the lane sampler from the stream of SplitMix64(seed)."""
+    return unstack(sample_views([seed], side)[0])[0]
 
 
 def unit_image(side=16, seed=0):
@@ -28,7 +72,40 @@ def unit_image(side=16, seed=0):
 
 def view(image, p):
     """One (1, H, W) image through the batched path, as a batch of one."""
-    return apply(image[None], [p])[0]
+    return apply(image[None], stack([p]))[0]
+
+
+# --- the scalar reference sampler: one view at a time from one stream ---
+
+
+def sample_params(rng: SplitMix64, source_side: int) -> TransformParams:
+    """Draw transform parameters for a view of side ``source_side // 2``;
+    the integer crop box is rejection-sampled until it satisfies both the
+    area and the aspect-ratio bounds exactly."""
+    src_area = source_side * source_side
+    box = (0, 0, source_side, source_side)
+    log_lo, log_hi = math.log(CROP_RATIO_RANGE[0]), math.log(CROP_RATIO_RANGE[1])
+    for _ in range(augment._MAX_CROP_TRIES):
+        area = rng.uniform(*CROP_AREA_RANGE) * src_area
+        ratio = math.exp(rng.uniform(log_lo, log_hi))
+        w = int(round(math.sqrt(area * ratio)))
+        h = int(round(math.sqrt(area / ratio)))
+        if not (1 <= w <= source_side and 1 <= h <= source_side):
+            continue
+        if not CROP_AREA_RANGE[0] <= (w * h) / src_area <= CROP_AREA_RANGE[1]:
+            continue
+        if not CROP_RATIO_RANGE[0] <= w / h <= CROP_RATIO_RANGE[1]:
+            continue
+        x = rng.randbelow(source_side - w + 1)
+        y = rng.randbelow(source_side - h + 1)
+        box = (x, y, w, h)
+        break
+
+    hflip = rng.next_float() < HFLIP_PROB
+    brightness = rng.uniform(*BRIGHTNESS_RANGE)
+    contrast = rng.uniform(*CONTRAST_RANGE)
+    sigma = rng.uniform(*BLUR_SIGMA_RANGE) if rng.next_float() < BLUR_PROB else 0.0
+    return TransformParams(box, hflip, brightness, contrast, sigma, source_side // 2)
 
 
 # --- the per-image reference: crop, resize, flip, jitter, clip, blur, clip ---
@@ -99,7 +176,7 @@ def test_batched_views_match_reference(side):
     img = unit_image(16, seed=side)
     params = [TransformParams(box, flip, brightness, contrast, sigma, side)
               for box in EDGE_CROPS for flip, sigma, contrast, brightness in PIXEL_SETTINGS]
-    out = apply(np.stack([img] * len(params)), params)
+    out = apply(np.stack([img] * len(params)), stack(params))
     assert out.shape == (len(params), 1, side, side)
     for got, p in zip(out, params):
         np.testing.assert_allclose(got, reference_view(img, p), rtol=0, atol=1e-12, err_msg=str(p))
@@ -107,9 +184,9 @@ def test_batched_views_match_reference(side):
 
 def test_sampled_views_match_reference():
     images = np.stack([unit_image(16, seed=i) for i in range(50)])
-    rngs = [substream(11, "augment", 0, i) for i in range(len(images))]
-    params = [sample_params(rng, 16) for rng in rngs]
-    out = apply(images, params)
+    states = substream_states(range(len(images)), 11, "augment", 0)
+    params = unstack(sample_views(states, 16)[0])
+    out = apply(images, stack(params))
     for got, img, p in zip(out, images, params):
         np.testing.assert_allclose(got, reference_view(img, p), rtol=0, atol=1e-12)
 
@@ -122,19 +199,19 @@ def test_saturated_blur_stays_in_range():
     for side in (6, 8, 12):
         params = [TransformParams((0, 0, 12, 12), False, 0.0, 1.0, sigma, side)
                   for sigma in np.linspace(0.1, 1.0, 91)]
-        assert apply(np.ones((len(params), 1, 12, 12)), params).max() == 1.0
+        assert apply(np.ones((len(params), 1, 12, 12)), stack(params)).max() == 1.0
 
 
 def test_sample_params_deterministic():
-    a = sample_params(SplitMix64(7), 16)
-    b = sample_params(SplitMix64(7), 16)
+    a = sample_one(7, 16)
+    b = sample_one(7, 16)
     assert a == b
 
 
 @settings(max_examples=200)
 @given(st.integers(0, 2**64 - 1), st.integers(8, 64))
 def test_crop_box_respects_contracts(seed, side):
-    p = sample_params(SplitMix64(seed), side)
+    p = sample_one(seed, side)
     x, y, w, h = p.crop_box
     assert 0 <= x and 0 <= y and x + w <= side and y + h <= side
     frac = (w * h) / (side * side)
@@ -147,8 +224,7 @@ def test_crop_box_respects_contracts(seed, side):
 
 
 def test_hflip_and_blur_frequencies():
-    rng = SplitMix64(123)
-    params = [sample_params(rng, 16) for _ in range(10_000)]
+    params = unstack(sample_views(substream_states(range(10_000), 123, "views"), 16)[0])
     hflip_rate = sum(p.hflip for p in params) / len(params)
     blur_rate = sum(p.blur_sigma > 0 for p in params) / len(params)
     assert abs(hflip_rate - HFLIP_PROB) < 0.02
@@ -193,11 +269,11 @@ def test_apply_rejects_mismatched_batches():
     p8 = TransformParams((0, 0, 16, 16), False, 0.0, 1.0, 0.0, 8)
     p4 = TransformParams((0, 0, 16, 16), False, 0.0, 1.0, 0.0, 4)
     with pytest.raises(ValueError, match="expected \\(n, 1, H, W\\)"):
-        apply(img, [p8])
+        apply(img, stack([p8]))
     with pytest.raises(ValueError, match="one params per image"):
-        apply(np.stack([img, img]), [p8])
+        apply(np.stack([img, img]), stack([p8]))
     with pytest.raises(ValueError, match="target sides 8 and 4"):
-        apply(np.stack([img, img]), [p8, p4])
+        apply(np.stack([img, img]), stack([p8, p4]))
 
 
 @settings(max_examples=50)
@@ -206,7 +282,7 @@ def test_apply_rejects_mismatched_batches():
     st.integers(0, 2**64 - 1),
 )
 def test_output_range_and_shape(img, seed):
-    p = sample_params(SplitMix64(seed), 12)
+    p = sample_one(seed, 12)
     out = view(img, p)
     assert out.shape == (1, p.target_side, p.target_side)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
@@ -214,7 +290,7 @@ def test_output_range_and_shape(img, seed):
 
 def test_apply_is_pure():
     img = unit_image()
-    p = sample_params(SplitMix64(99), 16)
+    p = sample_one(99, 16)
     before = img.copy()
     a = view(img, p)
     b = view(img, p)
@@ -243,11 +319,11 @@ def test_bilinear_corners_align():
 
 def test_make_view_pair_contract():
     images = np.stack([unit_image(16, seed=i) for i in range(3)])
-    pair = make_view_pair(images, [substream(5, "augment", 0, i) for i in range(3)])
+    pair = make_view_pair(images, substream_states(range(3), 5, "augment", 0))
     assert pair.v1.shape == (3, 1, 8, 8)
     assert pair.v2.shape == (3, 1, 8, 8)
     assert not np.array_equal(pair.v1, pair.v2)
-    again = make_view_pair(images, [substream(5, "augment", 0, i) for i in range(3)])
+    again = make_view_pair(images, substream_states(range(3), 5, "augment", 0))
     np.testing.assert_array_equal(pair.v1, again.v1)
     np.testing.assert_array_equal(pair.v2, again.v2)
 
@@ -255,7 +331,7 @@ def test_make_view_pair_contract():
 def test_make_view_pair_rejects_rng_count_mismatch():
     images = np.stack([unit_image(16, seed=i) for i in range(3)])
     with pytest.raises(ValueError, match="one view RNG per image"):
-        make_view_pair(images, [substream(5, "augment", 0, 0)])
+        make_view_pair(images, substream_states([0], 5, "augment", 0))
 
 
 # what each image's RNG gave for (v1, v2) when views were built one image at a time
@@ -276,21 +352,119 @@ NEXT_U64 = [16144220957167650377, 9205274119778336137, 13669739562511874198]
 
 
 def test_make_view_pair_keeps_per_image_draw_sequence(monkeypatch):
-    from bke import augment
-
     calls = []
 
-    def recording(rng, side):
-        calls.append((rng, sample_params(rng, side)))
-        return calls[-1][1]
+    def recording(states, side, count=1):
+        calls.append(sample_views(states, side, count))
+        return calls[-1]
 
-    monkeypatch.setattr(augment, "sample_params", recording)
+    monkeypatch.setattr(augment, "sample_views", recording)
     images = np.stack([unit_image(16, seed=i) for i in range(3)])
-    rngs = [substream(5, "augment", 0, i) for i in range(3)]
-    pair = make_view_pair(images, rngs)
-    for i, rng in enumerate(rngs):
-        assert [p for r, p in calls if r is rng] == list(PER_IMAGE_DRAWS[i])
-        assert rng.next_u64() == NEXT_U64[i]
+    pair = make_view_pair(images, substream_states(range(3), 5, "augment", 0))
+    [(params, after)] = calls
+    drawn = unstack(params)
+    for i in range(3):
+        assert [drawn[i], drawn[3 + i]] == list(PER_IMAGE_DRAWS[i])
+        assert SplitMix64(int(after[i])).next_u64() == NEXT_U64[i]
         p1, p2 = PER_IMAGE_DRAWS[i]
         np.testing.assert_allclose(pair.v1[i], reference_view(images[i], p1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair.v2[i], reference_view(images[i], p2), rtol=0, atol=1e-12)
+
+
+# --- the lane sampler against the scalar reference ---
+
+_INVERSE_STEP = pow(0x9E3779B97F4A7C15, -1, 2**64)
+
+
+def draws_between(start: int, end: int) -> int:
+    """How many draws take a SplitMix64 stream from state start to state end."""
+    return (end - start) * _INVERSE_STEP % 2**64
+
+
+def reference_lanes(states, side, count):
+    """sample_views by the scalar reference: the views in the same order, and
+    the lane states after them."""
+    rngs = [SplitMix64(int(s)) for s in states]
+    views = [[sample_params(rng, side) for rng in rngs] for _ in range(count)]
+    return [p for per_view in views for p in per_view], [rng._state for rng in rngs]
+
+
+def test_lane_sampler_matches_scalar_reference_bit_for_bit():
+    # every batch size 1..64 at each side, 10^5 lanes in all; crops, flips,
+    # jitters and sigmas must be equal floats, not close ones
+    gen = np.random.default_rng(2024)
+    lanes = 0
+    for side in (2, 3, 8, 16, 33):
+        for n in list(range(1, 65)) * 10:
+            states = gen.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+            count = 2 if n % 16 == 0 else 1
+            params, after = sample_views(states, side, count)
+            want, want_after = reference_lanes(states, side, count)
+            assert unstack(params) == want, (side, n)
+            assert [int(s) for s in after] == want_after
+            lanes += n
+    assert lanes >= 100_000
+
+
+@pytest.mark.parametrize("window,chunk", [(1, 1), (2, 3), (3, 8), (16, 2), (5, 5)])
+def test_lane_sampler_matches_reference_for_any_window_and_chunk(monkeypatch, window, chunk):
+    # small windows and chunks send lanes down the paths the default sizes
+    # almost never take: crop tries beyond the first chunk, and an x and y
+    # that need more draws than the first window holds
+    monkeypatch.setattr(augment, "_WINDOW", window)
+    monkeypatch.setattr(augment, "_CHUNK", chunk)
+    gen = np.random.default_rng(window * 100 + chunk)
+    for side in (2, 3, 16):
+        states = gen.integers(0, 2**64, size=300, dtype=np.uint64)
+        params, after = sample_views(states, side, 2)
+        want, want_after = reference_lanes(states, side, 2)
+        assert unstack(params) == want
+        assert [int(s) for s in after] == want_after
+
+
+def test_exhausted_crop_tries_keep_full_box_and_draw_no_origin(monkeypatch):
+    # with one try, many lanes find no crop: they keep the whole image and go
+    # straight on to the flip, so their view uses 2 + 4 draws (+1 with blur)
+    monkeypatch.setattr(augment, "_MAX_CROP_TRIES", 1)
+    exhausted = 0
+    for side in (2, 3, 5, 16):
+        states = substream_states(range(200), 8, "exhausted", side)
+        params, after = sample_views(states, side, 2)
+        want, want_after = reference_lanes(states, side, 2)
+        assert unstack(params) == want
+        assert [int(s) for s in after] == want_after
+        first, mid = sample_views(states, side)
+        for start, end, p in zip(states, mid, unstack(first)):
+            if draws_between(int(start), int(end)) == 6 + (p.blur_sigma > 0.0):
+                assert p.crop_box == (0, 0, side, side)
+                exhausted += 1
+    assert exhausted > 0
+
+
+def test_permuting_a_batch_permutes_its_views():
+    images = np.stack([unit_image(16, seed=i) for i in range(9)])
+    states = substream_states(range(9), 3, "augment", 1)
+    order = np.random.default_rng(0).permutation(9)
+    pair = make_view_pair(images, states)
+    permuted = make_view_pair(images[order], states[order])
+    np.testing.assert_array_equal(permuted.v1, pair.v1[order])
+    np.testing.assert_array_equal(permuted.v2, pair.v2[order])
+    params, after = sample_views(states, 16, 2)
+    p_params, p_after = sample_views(states[order], 16, 2)
+    assert unstack(p_params) == [unstack(params)[k * 9 + i] for k in range(2) for i in order]
+    np.testing.assert_array_equal(p_after, after[order])
+
+
+def test_view_params_reject_ragged_fields():
+    p = stack([identity_params(8)] * 3)
+    with pytest.raises(ValueError, match="one entry per view"):
+        ViewParams(p.crop_box, p.hflip[:2], p.brightness_delta, p.contrast_factor,
+                   p.blur_sigma, p.target_side)
+    with pytest.raises(ValueError, match="one entry per view"):
+        ViewParams(p.crop_box[:, :3], p.hflip, p.brightness_delta, p.contrast_factor,
+                   p.blur_sigma, p.target_side)
+
+
+def test_sample_views_rejects_tiny_sources():
+    with pytest.raises(ValueError, match="bad source side 1"):
+        sample_views([3], 1)

@@ -186,6 +186,21 @@ def test_finetune_rejects_bad_fraction(tmp_path, capsys):
     assert "fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,name", [("--lambda", "lambda"), ("--tau", "tau"),
+                                       ("--learning-rate", "learning_rate")])
+def test_finetune_rejects_nan_option_before_writing(tmp_path, capsys, flag, name):
+    # argparse's float accepts "nan"; the config check must name the option
+    # rather than let the run go on as plain CE or fail inside training
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    out = tmp_path / "ft"
+    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+               flag, "nan") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be") and "nan" in err
+    assert not out.exists()
+
+
 def test_finetune_divergence_names_phase_epoch_batch(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     checkpoint = make_checkpoint(tmp_path, prefix)

@@ -396,6 +396,18 @@ def test_config_validation_errors():
         BkeConfig(positive_class=-1)
 
 
+@pytest.mark.parametrize("name", ["omega", "lam", "tau", "learning_rate", "momentum"])
+def test_config_rejects_nan(name):
+    with pytest.raises(ValueError, match="lambda" if name == "lam" else name):
+        BkeConfig(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("momentum", [1.5, -0.1, 1.0, float("nan")])
+def test_config_rejects_momentum_outside_unit_interval(momentum):
+    with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+        BkeConfig(momentum=momentum)
+
+
 def test_configs_are_frozen_and_checked_on_replace():
     config = BkeConfig()
     with pytest.raises(FrozenInstanceError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bke.rng import SplitMix64, substream
+from bke.rng import SplitMix64, lane_draws, lane_floats, substream, substream_states
 
 
 def test_same_seed_same_stream():
@@ -100,3 +100,34 @@ def test_shuffle_actually_moves_things():
     shuffled = list(items)
     SplitMix64(9).shuffle(shuffled)
     assert shuffled != items
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_substream_states_equal_substream_states(seed):
+    # indices cross every digit count and table size, in any order, repeated
+    indices = [0, 1, 9, 10, 99, 100, 511, 512, 513, 1023, 1024, 4097, 7, 7, 300]
+    states = substream_states(indices, seed, "augment", 3)
+    assert states.dtype == np.uint64 and states.shape == (len(indices),)
+    assert [int(s) for s in states] == [substream(seed, "augment", 3, i)._state for i in indices]
+    assert [int(s) for s in substream_states(np.array(indices), seed)] == [
+        substream(seed, i)._state for i in indices]
+
+
+def test_substream_states_reject_negative_indices():
+    with pytest.raises(ValueError, match=">= 0"):
+        substream_states([3, -1], 0, "augment")
+    assert substream_states([], 0, "augment").shape == (0,)
+
+
+def test_lane_draws_equal_each_lanes_next_u64():
+    states = substream_states(range(6), 9, "lanes")
+    offsets = np.array([0, 1, 2, 5, 0, 40])
+    block = lane_draws(states, offsets, 7)
+    for state, offset, row in zip(states, offsets, block):
+        rng = SplitMix64(int(state))
+        for _ in range(offset):
+            rng.next_u64()
+        assert [int(v) for v in row] == [rng.next_u64() for _ in range(7)]
+    rng = SplitMix64(int(states[0]))
+    np.testing.assert_array_equal(lane_floats(states, 0, 4)[0],
+                                  [rng.next_float() for _ in range(4)])

@@ -10,7 +10,7 @@ from bke import selfsup
 from bke import tensor as T
 from bke.models import BundleSpecs, EncoderSpec, MlpSpec, encode, init_bundle, predict, project
 from bke.optim import SgdMomentum
-from bke.rng import substream
+from bke.rng import substream_states
 from bke.selfsup import (
     CollapseError,
     SslConfig,
@@ -177,7 +177,7 @@ def step_config(**kwargs):
 
 def step_rngs(config):
     """One view stream per image of images_fixture(), keyed as pretrain keys epoch 0."""
-    return [substream(config.seed, "augment", 0, i) for i in range(8)]
+    return substream_states(range(8), config.seed, "augment", 0)
 
 
 def test_ssl_step_outputs_consistent():
@@ -242,9 +242,9 @@ def test_untrained_loss_in_expected_band():
     bundle = init_bundle(BundleSpecs.default(16), 31)
     images = images_fixture(n=16, seed=9)
     from bke.augment import make_view_pair
-    from bke.rng import substream
+    from bke.rng import substream_states
 
-    pair = make_view_pair(images, [substream(3, "augment", 0, i) for i in range(len(images))])
+    pair = make_view_pair(images, substream_states(range(len(images)), 3, "augment", 0))
     v1, v2 = pair.v1, pair.v2
     spec = bundle.specs.encoder
     q1 = predict(bundle.predictor, project(bundle.online_projector, encode(bundle.online_encoder, spec, v1)))
@@ -297,6 +297,19 @@ def test_config_validation():
         SslConfig(learning_rate=0.0)
     with pytest.raises(ValueError, match="momentum"):
         SslConfig(momentum=1.0)
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "momentum", "zeta"])
+def test_config_rejects_nan(name):
+    with pytest.raises(ValueError, match=name):
+        SslConfig(**{name: float("nan")})
+
+
+def test_optimizer_rejects_nan():
+    with pytest.raises(ValueError, match="lr must be positive"):
+        SgdMomentum(float("nan"))
+    with pytest.raises(ValueError, match="momentum"):
+        SgdMomentum(0.1, float("nan"))
 
 
 def test_config_is_frozen_and_checked_on_replace():

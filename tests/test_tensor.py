@@ -168,6 +168,38 @@ def test_nonfinite_result_raises():
         T.Tensor([np.nan])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_last_entry_of_strided_view_raises(bad):
+    # the check reads every entry of a non-contiguous (channels-last) view
+    data = np.zeros((2, 5, 4, 3)).transpose(0, 3, 1, 2)
+    data[-1, -1, -1, -1] = bad
+    assert not data.flags.c_contiguous
+    with pytest.raises(FloatingPointError, match="tensor construction produced non-finite"):
+        T.Tensor(data)
+    with pytest.raises(FloatingPointError, match="scale produced non-finite"):
+        T.scale(data, 0.5)
+
+
+def test_relu_bits_match_masked_select():
+    # -0.0 and the smallest subnormals around zero come out as np.where gives them
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.array([-0.0, 0.0, -tiny, tiny, -1.5, 2.5, -1e300, 1e300] * 5)
+    want = np.where(x > 0.0, x, 0.0)
+    got = T.relu(x).data
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(got).any()
+
+
+def test_relu_keeps_channels_last_strides():
+    rng = np.random.default_rng(3)
+    y = T.conv2d(rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)),
+                 rng.normal(size=4), stride=1, pad=1)
+    assert y.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    out = T.relu(y)
+    assert out.data.strides == y.data.strides
+    np.testing.assert_array_equal(out.data, np.where(y.data > 0.0, y.data, 0.0))
+
+
 def test_global_avg_pool_value():
     x = np.arange(16.0).reshape(1, 1, 4, 4)
     np.testing.assert_allclose(T.global_avg_pool(x).data, [[7.5]])
