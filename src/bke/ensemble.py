@@ -116,7 +116,8 @@ def normalize_similarity(raw: np.ndarray) -> np.ndarray:
         raise ValueError(f"normalize_similarity: expected square matrix, got {raw.shape}")
     weights = np.exp(raw)
     np.fill_diagonal(weights, 0.0)
-    return weights / weights.sum(axis=1, keepdims=True)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def probabilities(logits, tau: float) -> ProbMatrix:
@@ -156,7 +157,8 @@ def soft_targets_closed_form(y_hat: np.ndarray, p: np.ndarray, omega: float) -> 
     y_hat = np.asarray(y_hat, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     _check_propagation_args(y_hat, p, omega)
-    a = np.eye(len(y_hat)) - omega * y_hat
+    a = y_hat * -omega  # I - omega*Yhat, built in one N x N buffer
+    a.flat[:: len(a) + 1] += 1.0
     q = (1.0 - omega) * np.linalg.solve(a, p)
     return SoftTargets(values=q, method="closed_form")
 
@@ -200,8 +202,7 @@ def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, la
 
 
 def _soft_targets_for_batch(features: np.ndarray, logits: np.ndarray, config: BkeConfig) -> np.ndarray:
-    sim = similarity_matrix(features)
-    y_hat = normalize_similarity(sim)
+    y_hat = normalize_similarity(similarity_matrix(features))
     p = probabilities(logits, config.tau).values
     return soft_targets_closed_form(y_hat, p, config.omega).values
 

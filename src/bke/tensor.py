@@ -3,10 +3,12 @@
 A :class:`Tape` records every primitive executed while it is active (a
 ``with Tape() as tape:`` block). ``Tape.backward`` replays the records in
 reverse creation order exactly once, accumulating vector-Jacobian products
-into the registered leaf parameters. Tensors without a tape handle are
-plain immutable values; :func:`detach` drops the handle, so anything
-computed from a detached tensor contributes exactly zero gradient
-upstream.
+into the registered leaf parameters. A tape is single-use: as backward
+passes a node it frees the node's gradient and vjps, and with them the
+arrays they saved (conv2d's column matrix, relu's mask). Tensors without
+a tape handle are plain immutable values; :func:`detach` drops the handle,
+so anything computed from a detached tensor contributes exactly zero
+gradient upstream.
 
 All arithmetic is 64-bit. Any primitive that produces a NaN or Inf raises
 :class:`FloatingPointError` immediately instead of letting the poison
@@ -115,11 +117,13 @@ def tape_active() -> bool:
 
 
 class Tape:
-    """Records primitives in creation order; a DAG by construction."""
+    """Records primitives in creation order; a DAG by construction. Single-use:
+    ``backward`` frees each node's saved arrays and gradient as it passes."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._leaf_ids: list[int] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -153,14 +157,23 @@ class Tape:
             raise ValueError("backward: loss is not attached to this tape")
         if loss.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+        if self._spent:
+            raise RuntimeError("backward: this tape was already replayed and freed; record a new Tape")
+        self._spent = True
         grads: list[np.ndarray | None] = [None] * len(self._nodes)
         grads[loss.node_id] = np.ones_like(loss.data)
         for nid in range(loss.node_id, -1, -1):
             g = grads[nid]
             if g is None:
                 continue
-            for pid, vjp in self._nodes[nid].edges:
+            node = self._nodes[nid]
+            edges, node.edges = node.edges, ()
+            grads[nid] = g if node.kind == "leaf" else None
+            # last edge first: conv2d's weight vjp frees its column matrix before the input vjp
+            while edges:
+                pid, vjp = edges.pop()
                 contrib = vjp(g)
+                del vjp
                 if grads[pid] is None:
                     grads[pid] = contrib
                 else:
@@ -399,7 +412,9 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * cin)
     w2 = wv.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = (cols @ w2.T + bv).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = cols @ w2.T
+    out += bv
+    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def channels_last(g):
         return g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)

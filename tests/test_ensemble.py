@@ -158,6 +158,26 @@ def test_closed_form_matches_long_iteration():
         assert np.abs(closed - iterated).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 16, 512])
+def test_in_place_soft_targets_match_out_of_place_expressions(n):
+    # the graph and the system matrix are built in place; on training-path
+    # graphs the bits must equal the plain expressions kept here
+    rng = np.random.default_rng(n)
+    raw = similarity_matrix(rng.normal(size=(n, 8)))
+    weights = np.exp(raw)
+    np.fill_diagonal(weights, 0.0)
+    want_y_hat = weights / weights.sum(axis=1, keepdims=True)
+    y_hat = normalize_similarity(raw)
+    np.testing.assert_array_equal(y_hat, want_y_hat)
+    p = random_probs(n, 2, n + 1)
+    for omega in (0.0, 0.5, 0.9):
+        want = (1.0 - omega) * np.linalg.solve(np.eye(n) - omega * want_y_hat, p)
+        closed = soft_targets_closed_form(y_hat, p, omega).values
+        np.testing.assert_array_equal(closed, want)
+        iterated = propagate_iterative(y_hat, p, omega, 400).values
+        assert np.abs(closed - iterated).max() <= 1e-9
+
+
 def test_propagation_permutation_equivariant():
     rng = np.random.default_rng(8)
     y_hat = random_graph(6, 9)
