@@ -28,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import (
+    ContainerError,
     SplitSpec,
     read_container,
     read_split,
@@ -53,7 +54,7 @@ from .metrics import write_epoch_csv, write_report_json
 from .models import load_checkpoint, save_checkpoint
 from .rng import substream
 from .selfsup import SslConfig, cross_model_loss, cross_view_loss, pretrain, write_loss_csv
-from .textio import fmt_float, read_float_matrix, write_float_matrix
+from .textio import read_float_matrix, write_csv, write_float_matrix, write_json
 
 GRADCHECK_TOL = 1e-4
 
@@ -221,11 +222,7 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _echo_config(command: str, cfg: dict, path: Path) -> None:
-    doc = {"command": command, **cfg}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"command": command, **cfg})
 
 
 def _load_dataset(prefix: str):
@@ -233,6 +230,10 @@ def _load_dataset(prefix: str):
     manifest = split_path(prefix)
     if manifest.exists():
         split = read_split(manifest)
+        top = max(split.train_indices + split.test_indices, default=-1)
+        if top >= len(container):
+            raise ContainerError(f"split manifest {manifest}: index {top} is past the end "
+                                 f"of {len(container)} images")
     else:
         idx = tuple(range(len(container)))
         split = SplitSpec(train_indices=idx, test_indices=(), fraction=1.0, seed=0)
@@ -258,7 +259,6 @@ def _cmd_synth(cfg: dict) -> int:
         raise ConfigError("test_per_class must be smaller than n_per_class")
     container = synth_blobs(cfg["n_per_class"], cfg["side"], cfg["seed"])
     prefix = cfg["out"]
-    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
     write_container(container, prefix)
     split = stratified_split(container.labels, cfg["test_per_class"], cfg["seed"])
     write_split(split, split_path(prefix))
@@ -276,7 +276,6 @@ def _cmd_pretrain(cfg: dict) -> int:
     images = container.images[list(split.train_indices)]
     bundle, history = pretrain(images, ssl_cfg)
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(bundle, out_dir / "checkpoint.bkec")
     write_loss_csv(history, out_dir / "pretrain_loss.csv")
     _echo_config("pretrain", cfg, out_dir / "config.json")
@@ -293,7 +292,6 @@ def _cmd_finetune(cfg: dict) -> int:
     container, split = _finetune_data(cfg)
     bundle, history, report = finetune(container, split, cfg["checkpoint"], config)
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(bundle, out_dir / "model.bkec")
     write_epoch_csv(history, out_dir / "metrics.csv")
     write_report_json(report, out_dir / "report.json")
@@ -321,10 +319,7 @@ def _cmd_eval(cfg: dict) -> int:
         bundle, container.images[indices], container.labels[indices], cfg["positive_class"]
     )
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "eval.json", "w", encoding="utf-8") as fh:
-        json.dump(scores, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "eval.json", scores)
     _echo_config("eval", cfg, out_dir / "config.json")
     print(
         f"evaluated {len(indices)} {cfg['subset']} images: "
@@ -347,7 +342,6 @@ def _cmd_propagate(cfg: dict) -> int:
     else:
         q = propagate_iterative(y_hat, p, cfg["omega"], cfg["iters"])
     out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_float_matrix(q.values, out)
     _echo_config("propagate", cfg, Path(str(out) + ".config.json"))
     print(f"wrote {q.values.shape[0]}x{q.values.shape[1]} soft targets ({q.method}) to {out}")
@@ -380,12 +374,7 @@ def _cmd_sweep(cfg: dict) -> int:
         rows.append((cfg["param"], value, report.means["hm"], report.means["acc"]))
         print(f"{cfg['param']}={value}: hm {rows[-1][2]:.4f}, acc {rows[-1][3]:.4f}")
     out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write("param,value,hm,acc\n")
-        for param, value, hm, acc in rows:
-            cell = str(value) if isinstance(value, int) else fmt_float(value)
-            fh.write(f"{param},{cell},{fmt_float(hm)},{fmt_float(acc)}\n")
+    write_csv(out_dir / "sweep.csv", ("param", "value", "hm", "acc"), rows)
     _echo_config("sweep", cfg, out_dir / "config.json")
     print(f"swept {len(rows)} values of {cfg['param']} -> {out_dir / 'sweep.csv'}")
     return 0
@@ -397,7 +386,10 @@ def _gradcheck_instances(seed: int, perturb: bool):
     rng = substream(seed, "gradcheck")
 
     def randn(*shape):
-        return np.array([rng.normal() for _ in range(int(np.prod(shape)))]).reshape(shape)
+        # rng.normal()'s Box-Muller on each (u1, u2) pair, for all entries at once
+        u = rng.next_floats(2 * int(np.prod(shape)))
+        u1 = np.maximum(u[0::2], 2.0**-53)
+        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1::2])).reshape(shape)
 
     def wrong(loss, leaf):
         if perturb and T.tape_active():

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import substream
+from .textio import write_artifact
 
 IMAGES_MAGIC = b"BKEI"
 LABELS_MAGIC = b"BKEL"
@@ -95,15 +96,10 @@ def split_path(prefix) -> Path:
 def write_container(container: DatasetContainer, prefix) -> None:
     pixels = _quantize(container.images)
     n, _, h, w = container.images.shape
-    with open(images_path(prefix), "wb") as fh:
-        fh.write(IMAGES_MAGIC)
-        fh.write(struct.pack("<IIII", CONTAINER_VERSION, n, h, w))
-        fh.write(pixels.tobytes())
-    labels = container.labels.astype(np.uint8)
-    with open(labels_path(prefix), "wb") as fh:
-        fh.write(LABELS_MAGIC)
-        fh.write(struct.pack("<II", CONTAINER_VERSION, n))
-        fh.write(labels.tobytes())
+    header = IMAGES_MAGIC + struct.pack("<IIII", CONTAINER_VERSION, n, h, w)
+    write_artifact(images_path(prefix), header + pixels.tobytes())
+    header = LABELS_MAGIC + struct.pack("<II", CONTAINER_VERSION, n)
+    write_artifact(labels_path(prefix), header + container.labels.astype(np.uint8).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -223,9 +219,7 @@ def write_split(split: SplitSpec, path) -> None:
         "train": list(split.train_indices),
         "test": list(split.test_indices),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_artifact(path, json.dumps(doc) + "\n")
 
 
 def _indices(doc: dict, key: str) -> tuple[int, ...]:

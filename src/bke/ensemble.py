@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import DatasetContainer, SplitSpec, batches
-from .metrics import EpochMetrics, MetricsReport, auc, confusion, sen_spe_hm_acc
+from .metrics import EpochMetrics, MetricError, MetricsReport, auc, confusion, sen_spe_hm_acc
 from .models import (
     ModelBundle,
     attach_classifier,
@@ -223,11 +223,10 @@ def evaluate_classifier(
         feats = encode(bundle.online_encoder, spec, images[start : start + batch_size])
         chunks.append(classify(bundle.classifier, feats).data)
     logits = np.concatenate(chunks)
-    preds = logits.argmax(axis=1)
-    scores = T.softmax_rows(T.Tensor(logits), 1.0).data[:, positive_class]
-    k = bundle.specs.classifier.out_dim
-    cm = confusion(preds, labels, k)
+    cm = confusion(logits.argmax(axis=1), labels, bundle.specs.classifier.out_dim)
+    # sen_spe_hm_acc range-checks positive_class, so it runs before the column index below
     sen, spe, hm, acc = sen_spe_hm_acc(cm, positive_class)
+    scores = T.softmax_rows(T.Tensor(logits), 1.0).data[:, positive_class]
     binary = (np.asarray(labels) == positive_class).astype(np.int64)
     return {"sen": sen, "spe": spe, "hm": hm, "auc": auc(scores, binary), "acc": acc}
 
@@ -247,6 +246,9 @@ def finetune(
     cannot be computed raises :class:`CollapseError` naming the epoch and
     the batch's first index.
     """
+    if config.positive_class >= container.n_classes:
+        raise MetricError(f"positive_class {config.positive_class} out of range "
+                          f"[0, {container.n_classes})")
     bundle = checkpoint if isinstance(checkpoint, ModelBundle) else load_checkpoint(Path(checkpoint))
     attach_classifier(bundle, container.n_classes, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)

@@ -8,12 +8,11 @@ aggregates the last ten epochs with mean and population variance.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .textio import fmt_float
+from .textio import write_csv, write_json
 
 REPORT_WINDOW = 10
 METRIC_NAMES = ("sen", "spe", "hm", "auc", "acc")
@@ -112,11 +111,7 @@ class MetricsReport:
 
 
 def write_epoch_csv(history: list[EpochMetrics], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,sen,spe,hm,auc,acc\n")
-        for em in history:
-            cells = [str(em.epoch)] + [fmt_float(getattr(em, n)) for n in METRIC_NAMES]
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, ("epoch", *METRIC_NAMES), map(astuple, history))
 
 
 def read_epoch_csv(path) -> list[EpochMetrics]:
@@ -136,6 +131,4 @@ def write_report_json(report: MetricsReport, path) -> None:
         name: {"mean": report.means[name], "variance": report.variances[name]}
         for name in METRIC_NAMES
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

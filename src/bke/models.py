@@ -20,6 +20,7 @@ import numpy as np
 
 from .rng import SplitMix64, substream
 from . import tensor as T
+from .textio import write_artifact
 
 KERNEL_SIZE = 3
 CONV_PAD = 1
@@ -272,8 +273,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
             payload += struct.pack("<I", dim)
         payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     payload += struct.pack("<Q", len(payload))
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_artifact(path, payload)
 
 
 def _param_shapes(specs: BundleSpecs) -> dict[str, dict[str, tuple[int, ...]]]:

@@ -15,7 +15,7 @@ quantity is the target projection z2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .models import (
 )
 from .optim import SgdMomentum, ema_update
 from .rng import substream_states
-from .textio import fmt_float
+from .textio import write_csv
 
 COLLAPSE_STD_THRESHOLD = 1e-6
 COLLAPSE_PATIENCE = 3
@@ -205,10 +205,4 @@ def pretrain(
 
 
 def write_loss_csv(history: list[SslEpochLog], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss_cv,loss_cm,loss_total\n")
-        for log in history:
-            fh.write(
-                f"{log.epoch},{fmt_float(log.loss_cv)},{fmt_float(log.loss_cm)},"
-                f"{fmt_float(log.loss_total)}\n"
-            )
+    write_csv(path, ("epoch", "loss_cv", "loss_cm", "loss_total"), map(astuple, history))

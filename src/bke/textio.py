@@ -1,11 +1,18 @@
-"""Text artifact helpers: repeatable float formatting and CSV matrices.
+"""The one artifact writer, plus repeatable float formatting, JSON and CSV.
 
-Every float written to a CSV/JSON artifact goes through ``fmt_float``
-(17 significant digits), which round-trips IEEE doubles exactly, so a
-rerun with the same seed produces byte-identical files.
+Every file bke writes goes through ``write_artifact``: it makes the parent
+directory, writes a sibling ``<name>.partial`` and renames it over the
+target, so an artifact is replaced whole or not at all. Every float
+written to a CSV/JSON artifact goes through ``fmt_float`` (17 significant
+digits), which round-trips IEEE doubles exactly, so a rerun with the same
+seed produces byte-identical files.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -18,13 +25,37 @@ def fmt_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def write_artifact(path, content: str | bytes) -> None:
+    """Write content (str as UTF-8) to path, whole or not at all: a failure
+    leaves the earlier file, if any, and no ``.partial`` behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def write_json(path, doc) -> None:
+    write_artifact(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """One line per row after the header line (none if header is empty);
+    floats through fmt_float, ints and strings as they are."""
+    lines = [header] if header else []
+    lines += [[fmt_float(c) if isinstance(c, float) else str(c) for c in row] for row in rows]
+    write_artifact(path, "".join(",".join(line) + "\n" for line in lines))
+
+
 def write_float_matrix(matrix: np.ndarray, path) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+    write_csv(path, (), arr.tolist())
 
 
 def read_float_matrix(path) -> np.ndarray:

@@ -302,6 +302,95 @@ def test_eval_all_subset_and_missing_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,positive", [("finetune", 5), ("sweep", 7), ("eval", 2)])
+def test_out_of_range_positive_class_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                          command, positive):
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    if command == "eval":
+        checkpoint = make_finetuned(tmp_path, prefix, checkpoint)
+    extra = ("--param", "omega", "--values", "0.5") if command == "sweep" else ()
+    drawn = []
+    monkeypatch.setattr("bke.ensemble.batches", lambda *a: drawn.append(a) or [])
+    out = tmp_path / "out"
+    assert run(command, "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+               "--positive-class", positive, *extra) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: positive_class {positive} out of range [0, 2)\n"
+    assert drawn == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
+def test_split_index_past_the_end_is_reported(tmp_path, capsys, command):
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    if command == "eval":
+        checkpoint = make_finetuned(tmp_path, prefix, checkpoint)
+    manifest = Path(str(prefix) + ".split.json")
+    doc = json.loads(manifest.read_text())
+    doc["train"].append(999)
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {"pretrain": (), "finetune": ("--checkpoint", checkpoint),
+            "eval": ("--checkpoint", checkpoint, "--subset", "train")}[command]
+    assert run(command, "--data", prefix, "--out", out, *args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: split manifest {manifest}: index 999 is past the end of 12 images\n"
+    assert not out.exists()
+
+
+def test_output_directories_hold_exactly_their_artifacts(tmp_path):
+    prefix = make_dataset(tmp_path / "data")
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    model = make_finetuned(tmp_path, prefix, checkpoint)
+    assert run("eval", "--data", prefix, "--checkpoint", model, "--out", tmp_path / "ev") == 0
+    for method in ("closed", "iter"):
+        assert run("propagate", "--features", DATA_DIR / "features.csv",
+                   "--logits", DATA_DIR / "logits.csv", "--method", method,
+                   "--out", tmp_path / "q" / f"{method}.csv") == 0
+    assert run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", tmp_path / "sw",
+               "--param", "omega", "--values", "0.2,0.8", "--epochs", 1, "--batch-size", 4) == 0
+    listing = {d.name: sorted(p.name for p in d.iterdir()) for d in tmp_path.iterdir()}
+    assert listing == {
+        "data": ["ds.bkei", "ds.bkel", "ds.split.json", "ds.synth.config.json"],
+        "pre": ["checkpoint.bkec", "config.json", "pretrain_loss.csv"],
+        "ft": ["config.json", "metrics.csv", "model.bkec", "report.json"],
+        "ev": ["config.json", "eval.json"],
+        "q": ["closed.csv", "closed.csv.config.json", "iter.csv", "iter.csv.config.json"],
+        "sw": ["config.json", "sweep.csv"],
+    }
+
+
+def test_failed_rename_mid_run_keeps_every_earlier_artifact_whole(tmp_path, capsys, monkeypatch):
+    import os
+
+    from bke.models import load_checkpoint
+
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    ft_dir = make_finetuned(tmp_path, prefix, checkpoint).parent
+    before = {p.name: p.read_bytes() for p in ft_dir.iterdir()}
+    replace, renamed = os.replace, []
+
+    def fail_second(src, dst):  # model.bkec is replaced, metrics.csv is not
+        if renamed:
+            raise OSError("no space left on device")
+        renamed.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr("bke.textio.os.replace", fail_second)
+    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", ft_dir,
+               "--epochs", 2, "--batch-size", 4) == 1
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    after = {p.name: p.read_bytes() for p in ft_dir.iterdir()}
+    assert sorted(after) == sorted(before)  # no .partial left behind
+    assert after["model.bkec"] != before["model.bkec"]  # the 2-epoch model, whole
+    load_checkpoint(ft_dir / "model.bkec")
+    for name in before.keys() - {"model.bkec"}:
+        assert after[name] == before[name], name
+
+
 # --- propagate ---------------------------------------------------------------------
 
 
