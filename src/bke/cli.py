@@ -386,7 +386,8 @@ def _gradcheck_instances(seed: int, perturb: bool):
     rng = substream(seed, "gradcheck")
 
     def randn(*shape):
-        # rng.normal()'s Box-Muller on each (u1, u2) pair, for all entries at once
+        # Box-Muller: sqrt(-2 ln u1) cos(2 pi u2) is standard normal for uniform
+        # u1, u2; u1 is floored at 2^-53 so the log stays finite
         u = rng.next_floats(2 * int(np.prod(shape)))
         u1 = np.maximum(u[0::2], 2.0**-53)
         return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1::2])).reshape(shape)

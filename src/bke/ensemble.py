@@ -249,13 +249,18 @@ def finetune(
     if config.positive_class >= container.n_classes:
         raise MetricError(f"positive_class {config.positive_class} out of range "
                           f"[0, {container.n_classes})")
+    test_images = container.images[list(split.test_indices)]
+    test_labels = container.labels[list(split.test_indices)]
+    n_pos = int((test_labels == config.positive_class).sum())
+    if n_pos in (0, len(test_labels)):
+        raise MetricError(f"test split holds {n_pos} samples of positive_class "
+                          f"{config.positive_class} and {len(test_labels) - n_pos} of other "
+                          "classes; sensitivity and specificity need both")
     bundle = checkpoint if isinstance(checkpoint, ModelBundle) else load_checkpoint(Path(checkpoint))
     attach_classifier(bundle, container.n_classes, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
     spec = bundle.specs.encoder
     train_idx = list(split.train_indices)
-    test_images = container.images[list(split.test_indices)]
-    test_labels = container.labels[list(split.test_indices)]
 
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):

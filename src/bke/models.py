@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -150,26 +150,17 @@ def _copy_params(params: Params) -> Params:
 
 
 def init_bundle(specs: BundleSpecs, seed: int) -> ModelBundle:
-    """Deterministic init; the target side starts as an exact copy of the
-    online side."""
-    online_encoder = _init_params(_encoder_shapes(specs.encoder),
-                                  substream(seed, "init", "encoder"))
-    online_projector = _init_params(_mlp_shapes(specs.projector),
-                                    substream(seed, "init", "projector"))
-    predictor = _init_params(_mlp_shapes(specs.predictor), substream(seed, "init", "predictor"))
-    bundle = ModelBundle(
-        specs=specs,
-        init_seed=seed,
-        online_encoder=online_encoder,
-        online_projector=online_projector,
-        predictor=predictor,
-        target_encoder=_copy_params(online_encoder),
-        target_projector=_copy_params(online_projector),
-    )
-    if specs.classifier is not None:
-        bundle.classifier = _init_params(_mlp_shapes(specs.classifier),
-                                         substream(seed, "init", "classifier"))
-    return bundle
+    """Deterministic init: each online group draws from the substream named
+    after it without "online_"; each target group is an exact copy of its
+    online twin."""
+    groups: dict[str, Params] = {}
+    for group, shapes in _param_shapes(specs).items():
+        if group.startswith("target_"):
+            groups[group] = _copy_params(groups[group.replace("target_", "online_")])
+        else:
+            stream = substream(seed, "init", group.removeprefix("online_"))
+            groups[group] = _init_params(shapes, stream)
+    return ModelBundle(specs=specs, init_seed=seed, **groups)
 
 
 def attach_classifier(bundle: ModelBundle, n_classes: int, seed: int) -> None:
@@ -225,14 +216,8 @@ def classify(params: Mapping, features) -> T.Tensor:
 # everything before it. Specs and seed travel as "meta/*" tensors so one
 # file round-trips the whole bundle bit-exactly.
 
-_GROUP_ORDER = (
-    "online_encoder",
-    "online_projector",
-    "predictor",
-    "target_encoder",
-    "target_projector",
-    "classifier",
-)
+# the parameter groups in file order: every ModelBundle field but specs and init_seed
+_GROUP_ORDER = tuple(f.name for f in fields(ModelBundle) if f.name not in ("specs", "init_seed"))
 
 
 def _meta_records(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
@@ -277,7 +262,8 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
 
 
 def _param_shapes(specs: BundleSpecs) -> dict[str, dict[str, tuple[int, ...]]]:
-    """The parameter names and shapes of each group that specs define."""
+    """The parameter names and shapes of each group that specs define: the
+    one table that init_bundle and the checkpoint reader follow."""
     encoder, projector = _encoder_shapes(specs.encoder), _mlp_shapes(specs.projector)
     shapes = {"online_encoder": encoder, "online_projector": projector,
               "predictor": _mlp_shapes(specs.predictor), "target_encoder": encoder,
@@ -352,34 +338,21 @@ def _read_bundle(fh) -> ModelBundle:
         classifier=mlp("classifier") if "meta/classifier_dims" in tensors else None,
     )
 
-    groups: dict[str, Params] = {g: {} for g in _GROUP_ORDER}
+    expected = {f"{group}/{name}": shape
+                for group, shapes in _param_shapes(specs).items() for name, shape in shapes.items()}
+    for full_name, shape in expected.items():
+        if full_name not in tensors:
+            raise CheckpointError(f"checkpoint missing {full_name}")
+        if tensors[full_name].shape != shape:
+            raise CheckpointError(
+                f"{full_name} has shape {tensors[full_name].shape}, the specs give {shape}"
+            )
+    groups: dict[str, Params] = {}
     for full_name, arr in tensors.items():
-        group, _, pname = full_name.partition("/")
-        if group not in groups or not pname:
+        if full_name not in expected:
             raise CheckpointError(f"unexpected tensor {full_name!r} in checkpoint")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint tensor {full_name} holds non-finite values")
-        groups[group][pname] = arr
-    expected = _param_shapes(specs)
-    for group, params in groups.items():
-        want = expected.get(group, {})
-        for name, shape in want.items():
-            if name not in params:
-                raise CheckpointError(f"checkpoint missing {group}/{name}")
-            if params[name].shape != shape:
-                raise CheckpointError(
-                    f"{group}/{name} has shape {params[name].shape}, the specs give {shape}"
-                )
-        extra = sorted(params.keys() - want.keys())
-        if extra:
-            raise CheckpointError(f"unexpected tensor '{group}/{extra[0]}' in checkpoint")
-    return ModelBundle(
-        specs=specs,
-        init_seed=init_seed,
-        online_encoder=groups["online_encoder"],
-        online_projector=groups["online_projector"],
-        predictor=groups["predictor"],
-        target_encoder=groups["target_encoder"],
-        target_projector=groups["target_projector"],
-        classifier=groups["classifier"] or None,
-    )
+        group, _, pname = full_name.partition("/")
+        groups.setdefault(group, {})[pname] = arr
+    return ModelBundle(specs=specs, init_seed=init_seed, **groups)

@@ -17,7 +17,6 @@ That lets a batch of streams run as lanes of one uint64 array:
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -85,12 +84,6 @@ class SplitMix64:
             r = self.next_u64() >> shift
             if r < n:
                 return r
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller."""
-        u1 = max(self.next_float(), 2.0**-53)
-        u2 = self.next_float()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates."""

@@ -177,8 +177,9 @@ def pretrain(
     flat_epochs = 0
     for epoch in range(config.epochs):
         sums = np.zeros(3)
-        std_sum = 0.0
         count = 0
+        std_sum = 0.0  # over batches of >= 2 images: one image has zero std by definition
+        std_count = 0
         for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
             states = substream_states(batch, config.seed, "augment", epoch)
             try:
@@ -189,10 +190,13 @@ def pretrain(
                 ) from exc
             n = len(batch)
             sums += n * np.array([out.loss_cv, out.loss_cm, out.loss_total])
-            std_sum += n * out.feature_std
             count += n
+            if n >= 2:
+                std_sum += n * out.feature_std
+                std_count += n
         history.append(SslEpochLog(epoch, *(sums / count)))
-        flat_epochs = flat_epochs + 1 if std_sum / count < COLLAPSE_STD_THRESHOLD else 0
+        flat = std_count > 0 and std_sum / std_count < COLLAPSE_STD_THRESHOLD
+        flat_epochs = flat_epochs + 1 if flat else 0
         if flat_epochs >= COLLAPSE_PATIENCE:
             raise CollapseError(
                 f"features collapsed: mean std < {COLLAPSE_STD_THRESHOLD:g} "

@@ -321,6 +321,24 @@ def test_out_of_range_positive_class_fails_before_training(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_test_split_without_positive_class_fails_before_training(tmp_path, capsys, command):
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    labels = read_container(prefix).labels
+    manifest = Path(str(prefix) + ".split.json")
+    doc = json.loads(manifest.read_text())
+    doc["test"] = [i for i in doc["test"] if labels[i] == 1]
+    manifest.write_text(json.dumps(doc))
+    extra = ("--param", "omega", "--values", "0.5") if command == "sweep" else ()
+    out = tmp_path / "out"
+    assert run(command, "--data", prefix, "--checkpoint", checkpoint, "--out", out, *extra) == 1
+    assert capsys.readouterr().err == (
+        "error: test split holds 0 samples of positive_class 0 and 2 of other classes; "
+        "sensitivity and specificity need both\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
 def test_split_index_past_the_end_is_reported(tmp_path, capsys, command):
     prefix = make_dataset(tmp_path)

@@ -21,6 +21,7 @@ from bke.ensemble import (
     similarity_matrix,
     soft_targets_closed_form,
 )
+from bke.metrics import MetricError
 from bke.models import BundleSpecs, EncoderSpec, MlpSpec, init_bundle
 
 TINY = BundleSpecs(
@@ -362,6 +363,20 @@ def test_finetune_history_and_report_shape():
     assert set(report.means) == {"sen", "spe", "hm", "auc", "acc"}
     for value in report.means.values():
         assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("positive_class,n_pos,n_neg", [(0, 0, 4), (1, 4, 0)])
+def test_finetune_test_split_without_both_sides_fails_before_training(
+        monkeypatch, positive_class, n_pos, n_neg):
+    container, split = tiny_setup()
+    only_ones = tuple(int(i) for i in split.test_indices if container.labels[i] == 1)
+    split = replace(split, test_indices=only_ones)
+    calls = []
+    monkeypatch.setattr("bke.ensemble.bke_loss", lambda *a: calls.append(1))
+    with pytest.raises(MetricError, match=rf"holds {n_pos} samples of positive_class "
+                                          rf"{positive_class} and {n_neg} of other classes"):
+        finetune(container, split, init_bundle(TINY, 5), tiny_config(positive_class=positive_class))
+    assert calls == []
 
 
 def test_finetune_lambda_zero_ignores_omega():

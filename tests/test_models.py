@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tempfile
@@ -12,6 +13,7 @@ from bke import tensor as T
 from bke.rng import substream
 from bke.models import (
     CHECKPOINT_MAGIC,
+    CLASSIFIER_HIDDEN_DIM,
     BundleSpecs,
     CheckpointError,
     EncoderSpec,
@@ -276,6 +278,47 @@ def test_checkpoint_extra_param_rejected(tmp_path):
     save_checkpoint(bundle, path)
     with pytest.raises(CheckpointError, match="unexpected tensor 'predictor/fc3.w'"):
         load_checkpoint(path)
+
+
+def _with_record(blob: bytes, name: str, arr: np.ndarray) -> bytes:
+    """blob with one more tensor record before its trailer, count and trailer fixed."""
+    (count,) = struct.unpack_from("<I", blob, 8)
+    name_bytes = name.encode("utf-8")
+    record = (struct.pack("<H", len(name_bytes)) + name_bytes
+              + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.astype("<f8").tobytes())
+    body = blob[:8] + struct.pack("<I", count + 1) + blob[12:-8] + record
+    return body + struct.pack("<Q", len(body))
+
+
+@pytest.mark.parametrize("name", ["foo/x", "x"])
+def test_checkpoint_record_outside_the_layout_rejected(tmp_path, name):
+    path = tmp_path / "model.bkec"
+    save_checkpoint(init_bundle(TINY, 8), path)
+    path.write_bytes(_with_record(path.read_bytes(), name, np.zeros(2)))
+    with pytest.raises(CheckpointError, match=f"unexpected tensor '{name}' in checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "model.bkec"
+    bundle = init_bundle(TINY, 8)
+    save_checkpoint(bundle, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e0eb64743938b4f2a4b12cd662277ad01cda70c70eaa5785815cf0976ac3778a")
+    attach_classifier(bundle, 2, 8)
+    save_checkpoint(bundle, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6f6a14b9975525c2ebdac97647cd16e9164c9338235523b7de1cfddf2a34d388")
+
+
+def test_init_with_classifier_spec_matches_attached_head():
+    built = init_bundle(replace(TINY, classifier=MlpSpec(3, CLASSIFIER_HIDDEN_DIM, 2)), 5)
+    attached = init_bundle(TINY, 5)
+    attach_classifier(attached, 2, 5)
+    assert built.specs == attached.specs
+    assert built.classifier.keys() == attached.classifier.keys()
+    for k in built.classifier:
+        np.testing.assert_array_equal(built.classifier[k], attached.classifier[k])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

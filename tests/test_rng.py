@@ -80,13 +80,6 @@ def test_randbelow_roughly_uniform():
     assert np.all(np.abs(counts - 2000) < 200)
 
 
-def test_normal_moments():
-    rng = SplitMix64(23)
-    xs = np.array([rng.normal() for _ in range(20_000)])
-    assert abs(xs.mean()) < 0.05
-    assert abs(xs.std() - 1.0) < 0.05
-
-
 @settings(max_examples=50)
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(), max_size=50))
 def test_shuffle_is_a_permutation(seed, items):

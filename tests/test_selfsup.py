@@ -272,6 +272,25 @@ def test_collapse_detector_trips_after_three_flat_epochs(monkeypatch):
     assert len(calls) == 3
 
 
+def test_pretrain_runs_at_batch_size_one():
+    _, history = pretrain(images_fixture(n=4), SslConfig(epochs=3, batch_size=1), specs=TINY)
+    assert [h.epoch for h in history] == [0, 1, 2]
+
+
+def test_tail_batch_of_one_does_not_count_toward_collapse(monkeypatch):
+    # batches of 2 then 1: the pair's std alone is above the threshold, and the
+    # losses still average over all three images
+    def step(bundle, images, *a):
+        n = len(images)
+        return selfsup.SslBatchOutputs(loss_cv=n, loss_cm=0.0, loss_total=n,
+                                       feature_std=1.2e-6 if n >= 2 else 0.0)
+
+    monkeypatch.setattr(selfsup, "ssl_step", step)
+    _, history = pretrain(images_fixture(n=3), SslConfig(epochs=4, batch_size=2), specs=TINY)
+    assert len(history) == 4
+    assert all(h.loss_total == 5 / 3 for h in history)
+
+
 def test_nonfinite_loss_reported_with_location(monkeypatch):
     def explode(*a, **k):
         raise FloatingPointError("conv2d produced non-finite values")
