@@ -76,7 +76,8 @@ class DatasetContainer:
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:
-    if images.min() < 0.0 or images.max() > 1.0:
+    # written as `not (min >= 0 and max <= 1)` so that a NaN pixel fails it too
+    if not (images.min() >= 0.0 and images.max() <= 1.0):
         raise ContainerError("pixel values must lie in [0, 1]")
     return np.rint(images * 255.0).astype(np.uint8)
 

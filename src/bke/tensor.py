@@ -5,9 +5,10 @@ A :class:`Tape` records every primitive executed while it is active (a
 reverse creation order exactly once, accumulating vector-Jacobian products
 into the registered leaf parameters. A tape is single-use: as backward
 passes a node it frees the node's gradient and vjps, and with them the
-arrays they saved (conv2d's column matrix, relu's mask). Tensors without
-a tape handle are plain immutable values; :func:`detach` drops the handle,
-so anything computed from a detached tensor contributes exactly zero
+arrays they saved (relu's mask; conv2d's input view and at most one
+chunk, about 1 MiB, of its column matrix). Tensors without a tape
+handle are plain immutable values; :func:`detach` drops the handle, so
+anything computed from a detached tensor contributes exactly zero
 gradient upstream.
 
 All arithmetic is 64-bit. Any primitive that produces a NaN or Inf raises
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -169,7 +170,7 @@ class Tape:
             node = self._nodes[nid]
             edges, node.edges = node.edges, ()
             grads[nid] = g if node.kind == "leaf" else None
-            # last edge first: conv2d's weight vjp frees its column matrix before the input vjp
+            # last edge first: conv2d's weight vjp frees its chunk of columns before the input vjp
             while edges:
                 pid, vjp = edges.pop()
                 contrib = vjp(g)
@@ -375,15 +376,43 @@ def reshape(t, shape) -> Tensor:
     )
 
 
+# Column entries conv2d unfolds at a time: 1 MiB of float64. The batch is
+# handled in chunks of this size, so a chunk's columns stay in cache for its
+# GEMM and a node keeps one chunk alive between the passes, not the whole
+# batch's column matrix (about kh*kw/stride^2 times the input, and growing
+# with the batch that BKE's graph spans).
+_CONV_CHUNK_ELEMENTS = 1 << 17
+
+
+def _valid_taps(ksize: int, size: int, size_out: int, stride: int, pad: int) -> list[tuple[slice, slice]]:
+    """Per kernel offset along one axis, the (output, input) slices of the
+    windows whose input index ``o*stride + offset - pad`` lies inside the
+    unpadded input."""
+    taps = []
+    for off in range(ksize):
+        first = max(0, -((off - pad) // stride))
+        count = max(0, min(size_out, (size - 1 + pad - off) // stride + 1) - first)
+        start = first * stride + off - pad
+        taps.append((slice(first, first + count), slice(start, start + count * stride, stride)))
+    return taps
+
+
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution, NCHW input, OIHW weight, per-channel bias.
 
-    The work is done channels-last. The input is read through its NHWC
-    view and written into a zero-padded ``(n, hp, wp, cin)`` buffer,
-    which is unfolded once into a column matrix of shape
-    ``(n*ho*wo, kh*kw*cin)``: each copy moves a contiguous run of
-    ``cin`` channels. The forward pass and both gradients are then one
-    2-D matmul each.
+    The work is done channels-last, on chunks of the batch holding about
+    ``_CONV_CHUNK_ELEMENTS`` column entries each. A chunk is read through
+    the input's NHWC view, written into a zero-padded ``(m, hp, wp, cin)``
+    buffer and unfolded into a column matrix of shape
+    ``(m*ho*wo, kh*kw*cin)``: each copy moves a contiguous run of ``cin``
+    channels. The forward pass and both gradients are then one 2-D matmul
+    per chunk; a batch that fits in one chunk is one matmul per pass.
+
+    The node keeps the input's NHWC view and the last chunk's columns,
+    never the whole batch's column matrix: the weight gradient unfolds
+    the other chunks again. The input gradient scatters each chunk's
+    column gradient straight into one unpadded array, skipping the
+    window entries that fall in the padding.
 
     Any input layout is accepted, but the output is an NCHW-shaped view
     of channels-last memory, the GEMM's natural result. So when one
@@ -406,29 +435,50 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: spatial size {h}x{wdt} too small for kernel {kh}x{kw}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    hw, k = ho * wo, kh * kw * cin
 
-    xp = np.zeros((n, hp, wp, cin))
-    xp[:, pad : pad + h, pad : pad + wdt] = xv.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * cin)
-    w2 = wv.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = cols @ w2.T
+    x_last = xv.transpose(0, 2, 3, 1)
+    step = max(1, _CONV_CHUNK_ELEMENTS // (hw * k))
+    chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def unfold(lo, hi):
+        xp = np.zeros((hi - lo, hp, wp, cin))
+        xp[:, pad : pad + h, pad : pad + wdt] = x_last[lo:hi]
+        s0, s1, s2, s3 = xp.strides
+        windows = as_strided(
+            xp, (hi - lo, ho, wo, kh, kw, cin),
+            (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False,
+        )
+        return windows.reshape((hi - lo) * hw, k)
+
+    def channels_last(g, lo, hi):
+        return g[lo:hi].transpose(0, 2, 3, 1).reshape((hi - lo) * hw, cout)
+
+    w2 = wv.transpose(0, 2, 3, 1).reshape(cout, k)
+    out = np.empty((n * hw, cout))
+    for lo, hi in chunks:
+        cols = unfold(lo, hi)
+        np.matmul(cols, w2.T, out=out[lo * hw : hi * hw])
     out += bv
     out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
 
-    def channels_last(g):
-        return g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-
     def vjp_x(g):
-        dcols = (channels_last(g) @ w2).reshape(n, ho, wo, kh, kw, cin)
-        dxp = np.zeros((n, hp, wp, cin))
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i : i + ho * stride : stride, j : j + wo * stride : stride] += dcols[:, :, :, i, j]
-        return dxp[:, pad : pad + h, pad : pad + wdt].transpose(0, 3, 1, 2)
+        dx = np.zeros((n, h, wdt, cin))
+        row_taps = _valid_taps(kh, h, ho, stride, pad)
+        col_taps = _valid_taps(kw, wdt, wo, stride, pad)
+        for lo, hi in chunks:
+            dcols = (channels_last(g, lo, hi) @ w2).reshape(hi - lo, ho, wo, kh, kw, cin)
+            for i, (oy, iy) in enumerate(row_taps):
+                for j, (ox, ix) in enumerate(col_taps):
+                    dx[lo:hi, iy, ix] += dcols[:, oy, ox, i, j]
+        return dx.transpose(0, 3, 1, 2)
 
     def vjp_w(g):
-        return (channels_last(g).T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
+        *head, last = chunks
+        dw = channels_last(g, *last).T @ cols  # the forward's last chunk
+        for lo, hi in head:
+            dw += channels_last(g, lo, hi).T @ unfold(lo, hi)
+        return dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)
 
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))

@@ -166,6 +166,16 @@ def test_container_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_nonfinite_pixel(tmp_path, bad):
+    container = small_container()
+    container.images[-1, 0, -1, -1] = bad
+    prefix = tmp_path / "set"
+    with pytest.raises(ContainerError, match=r"\[0, 1\]"):
+        write_container(container, prefix)
+    assert not images_path(prefix).exists() and not labels_path(prefix).exists()
+
+
 # --- splits -------------------------------------------------------------------
 
 

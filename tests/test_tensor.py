@@ -128,28 +128,31 @@ def test_backward_frees_each_gradient_once_used():
     np.testing.assert_array_equal(grads[x.node_id].data, expected)
 
 
-def test_conv2d_backward_frees_column_matrix_before_input_gradient():
-    # edges run last-first, so the weight vjp (the only holder of the
-    # column matrix) is dropped before the input vjp builds its buffers
+def test_conv2d_keeps_at_most_one_chunk_of_columns(monkeypatch):
+    # the node keeps the input's NHWC view and the last chunk's columns;
+    # the weight vjp unfolds the other chunks again, and the input vjp
+    # builds one chunk's column gradient at a time
     rng = np.random.default_rng(3)
-    x, w, b = rng.normal(size=(64, 4, 8, 8)), rng.normal(size=(8, 4, 3, 3)), rng.normal(size=8)
-    cols_bytes = 8 * 64 * 8 * 8 * 4 * 9
+    x, w, b = rng.normal(size=(64, 8, 8, 8)), rng.normal(size=(4, 8, 3, 3)), rng.normal(size=4)
+    row = 8 * 8 * 3 * 3 * 8  # column entries per image: 8x8 outputs, 3x3x8 taps
+    monkeypatch.setattr(T, "_CONV_CHUNK_ELEMENTS", 7 * row)  # 9 chunks of 7 images, then 1
+    chunk_bytes, cols_bytes = 8 * 7 * row, 8 * 64 * row
     tracemalloc.start()
     try:
         with T.Tape() as tape:
             leaves = [tape.leaf(v) for v in (x, w, b)]
-            loss = T.mean_all(T.conv2d(*leaves, stride=1, pad=1))
             start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+            y = T.conv2d(*leaves, stride=1, pad=1)
+            loss = T.mean_all(y)
+            del y
+            held = tracemalloc.get_traced_memory()[0] - start
             tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # the input vjp's column gradient and padded buffer, less the freed
-    # column matrix, rise by about half a column matrix; with the column
-    # matrix still alive the rise is about one and a half
-    rise = (peak - start) / cols_bytes
-    assert rise < 1.0, f"backward rose by {rise:.2f} column matrices"
+    # slack for the reshaped weight, the closures and the chunk bounds
+    assert held < chunk_bytes + 16384, f"node held {held / chunk_bytes:.2f} chunks of columns"
+    assert peak < cols_bytes, f"forward + backward peaked at {peak / cols_bytes:.2f} column matrices"
 
 
 def test_no_tape_means_plain_values():
@@ -386,6 +389,23 @@ def conv2d_and_grads(x, w, b, g, stride, pad):
     return y.data, [grads[leaf.node_id].data for leaf in leaves]
 
 
+@pytest.mark.parametrize("x_shape,stride,pad", [
+    ((2, 3, 1, 4), 2, 1),  # the first and last kernel rows read only padding
+    ((2, 3, 3, 2), 2, 2),
+    ((2, 3, 4, 4), 3, 2),
+])
+def test_conv2d_gradients_match_naive_where_windows_reach_into_padding(x_shape, stride, pad):
+    rng = np.random.default_rng(29 + stride + 10 * pad)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    g = rng.normal(size=T.conv2d(x, w, b, stride=stride, pad=pad).shape)
+    y, grads = conv2d_and_grads(x, w, b, g, stride, pad)
+    np.testing.assert_allclose(y, naive_conv2d(x, w, b, stride, pad), rtol=0, atol=1e-12)
+    for got, want in zip(grads, naive_conv2d_grads(x, w, g, stride, pad)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_chained_conv2d_reads_channels_last_output():
     # the encoder's layout path: the second conv reads the first one's
     # output, an NCHW-shaped view of channels-last memory
@@ -424,6 +444,57 @@ def test_conv2d_is_layout_independent(stride, pad):
     assert np.array_equal(y, y_last)
     for got, want in zip(grads_last, grads):
         assert np.array_equal(got, want)
+
+
+def images_per_chunk(monkeypatch, x_shape, w_shape, stride, pad, images):
+    """Set conv2d's chunk size so that a chunk holds `images` images."""
+    _, cin, h, wd = x_shape
+    _, _, kh, kw = w_shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wd + 2 * pad - kw) // stride + 1
+    monkeypatch.setattr(T, "_CONV_CHUNK_ELEMENTS", images * ho * wo * kh * kw * cin)
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+def test_chunked_conv2d_matches_one_chunk(stride, pad, monkeypatch):
+    rng = np.random.default_rng(47 + stride + 10 * pad)
+    x = rng.normal(size=(11, 3, 6, 5))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    g = rng.normal(size=T.conv2d(x, w, b, stride=stride, pad=pad).shape)
+    y_one, (dx_one, _, _) = conv2d_and_grads(x, w, b, g, stride, pad)
+    images_per_chunk(monkeypatch, x.shape, w.shape, stride, pad, 3)  # chunks of 3, 3, 3, 2
+    y, (dx, dw, db) = conv2d_and_grads(x, w, b, g, stride, pad)
+    # each output row and each image's input gradient comes from one chunk
+    assert np.array_equal(y, y_one)
+    assert np.array_equal(dx, dx_one)
+    # the weight gradient sums the chunks' products
+    _, want_dw, want_db = naive_conv2d_grads(x, w, g, stride, pad)
+    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(db, want_db, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+def test_gradcheck_chunked_conv2d_chain(stride, pad, monkeypatch):
+    rng = np.random.default_rng(53 + stride + 10 * pad)
+    params = {
+        "x": rng.normal(size=(5, 3, 6, 5)),
+        "w1": rng.normal(size=(3, 3, 3, 3)) * 0.5,
+        "b1": rng.normal(size=3),
+        "w2": rng.normal(size=(2, 3, 3, 3)) * 0.5,
+        "b2": rng.normal(size=2),
+    }
+    # the second conv keeps the first one's spatial size and channel count,
+    # so both layers run in chunks of 2, 2 and 1 images
+    images_per_chunk(monkeypatch, params["x"].shape, params["w1"].shape, stride, pad, 2)
+
+    def f(p):
+        y = T.conv2d(p["x"], p["w1"], p["b1"], stride=stride, pad=pad)
+        y = T.conv2d(y, p["w2"], p["b2"], stride=1, pad=1)
+        return T.mean_all(T.mul(y, y))
+
+    report = T.finite_difference_check(f, params)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
 
 
 def test_conv2d_shape_errors():
