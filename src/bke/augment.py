@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rng import advance_lanes, lane_draws, lane_floats
+from .rng import advance_lanes, lane_draws, lane_floats, uniform
 
 CROP_AREA_RANGE = (0.2, 1.0)
 CROP_RATIO_RANGE = (0.75, 4.0 / 3.0)
@@ -75,11 +75,6 @@ class ViewPair:
     v2: np.ndarray
 
 
-def _uniform(u: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """SplitMix64.uniform(*bounds) of each draw u in [0, 1)."""
-    return bounds[0] + (bounds[1] - bounds[0]) * u
-
-
 def _crop_sizes(states: np.ndarray, side: int, first: int = 0):
     """Each lane's crop (w, h) from try ``first`` on, the draws its tries
     used, and whether one fit; a lane none of whose tries fit keeps the
@@ -91,8 +86,8 @@ def _crop_sizes(states: np.ndarray, side: int, first: int = 0):
     src_area = side * side
     log_ratio_range = (math.log(CROP_RATIO_RANGE[0]), math.log(CROP_RATIO_RANGE[1]))
     u = lane_floats(states, 2 * first, 2 * min(_CHUNK, _MAX_CROP_TRIES - first))
-    area = _uniform(u[:, 0::2], CROP_AREA_RANGE) * src_area
-    log_ratio = _uniform(u[:, 1::2], log_ratio_range)
+    area = uniform(u[:, 0::2], *CROP_AREA_RANGE) * src_area
+    log_ratio = uniform(u[:, 1::2], *log_ratio_range)
     # math.exp, not np.exp: they differ by an ulp on some inputs, enough to
     # move a rounded side
     ratio = np.fromiter(map(math.exp, log_ratio.ravel().tolist()), np.float64,
@@ -151,8 +146,8 @@ def _sample_view(states: np.ndarray, side: int):
     u = lane_floats(states, used, 5)
     blur = u[:, 3] < BLUR_PROB
     params = (np.column_stack([origin, w, h]), u[:, 0] < HFLIP_PROB,
-              _uniform(u[:, 1], BRIGHTNESS_RANGE), _uniform(u[:, 2], CONTRAST_RANGE),
-              np.where(blur, _uniform(u[:, 4], BLUR_SIGMA_RANGE), 0.0))
+              uniform(u[:, 1], *BRIGHTNESS_RANGE), uniform(u[:, 2], *CONTRAST_RANGE),
+              np.where(blur, uniform(u[:, 4], *BLUR_SIGMA_RANGE), 0.0))
     return params, advance_lanes(states, used + 4 + blur)
 
 

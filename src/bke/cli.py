@@ -258,9 +258,10 @@ def _cmd_synth(cfg: dict) -> int:
     if cfg["test_per_class"] >= cfg["n_per_class"]:
         raise ConfigError("test_per_class must be smaller than n_per_class")
     container = synth_blobs(cfg["n_per_class"], cfg["side"], cfg["seed"])
+    # the split is built before any file is written, so a bad split leaves none
+    split = stratified_split(container.labels, cfg["test_per_class"], cfg["seed"])
     prefix = cfg["out"]
     write_container(container, prefix)
-    split = stratified_split(container.labels, cfg["test_per_class"], cfg["seed"])
     write_split(split, split_path(prefix))
     _echo_config("synth", cfg, Path(str(prefix) + ".synth.config.json"))
     print(

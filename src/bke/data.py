@@ -8,9 +8,6 @@ On-disk layout (little-endian throughout):
 * labels  ``<prefix>.bkel`` — magic ``BKEL``, u32 version=1, u32 count,
   count u8 labels.
 * split manifest ``<prefix>.split.json`` — ``{seed, fraction, train, test}``.
-
-Class names are an in-memory convenience only; the files carry none, so
-a read-back container gets generic names.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import substream
+from .rng import substream, uniform
 from .textio import write_artifact
 
 IMAGES_MAGIC = b"BKEI"
@@ -41,11 +38,11 @@ class ContainerError(ValueError):
 
 @dataclass
 class DatasetContainer:
-    """images: (N, 1, H, W) float64 in [0,1], quantized to 1/255 steps."""
+    """images: (N, 1, H, W) float64 in [0,1], quantized to 1/255 steps;
+    labels: (N,) ints in [0, 256), what the u8 label file holds."""
 
     images: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.images.ndim != 4 or self.images.shape[1] != 1:
@@ -54,25 +51,16 @@ class DatasetContainer:
             raise ContainerError(
                 f"count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
             )
-        if len(self.labels) and not (
-            0 <= int(self.labels.min()) and int(self.labels.max()) < len(self.class_names)
-        ):
-            raise ContainerError("labels out of range for class_names")
+        if not (0 <= self.labels.min(initial=0) and self.labels.max(initial=0) < 256):
+            raise ContainerError("labels out of range [0, 256)")
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
-    def height(self) -> int:
-        return self.images.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.images.shape[3]
-
-    @property
     def n_classes(self) -> int:
-        return len(self.class_names)
+        """One past the largest label (1 for an empty container)."""
+        return int(self.labels.max(initial=0)) + 1
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:
@@ -111,7 +99,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return fh.read(n)
 
 
-def read_container(prefix, class_names: tuple[str, ...] | None = None) -> DatasetContainer:
+def read_container(prefix) -> DatasetContainer:
     ipath = images_path(prefix)
     lpath = labels_path(prefix)
     with open(ipath, "rb") as fh:
@@ -139,11 +127,7 @@ def read_container(prefix, class_names: tuple[str, ...] | None = None) -> Datase
         if fh.read(1):
             raise ContainerError(f"{lpath}: trailing bytes")
 
-    labels = labels.astype(np.int64)
-    if class_names is None:
-        k = int(labels.max()) + 1 if count else 1
-        class_names = tuple(f"class{i}" for i in range(k))
-    return DatasetContainer(images=images, labels=labels, class_names=class_names)
+    return DatasetContainer(images=images, labels=labels.astype(np.int64))
 
 
 # --- splits and batching ----------------------------------------------------
@@ -181,8 +165,6 @@ def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> list
         return list(range(len(labels)))
     chosen: list[int] = []
     for cls, members in sorted(_indices_by_class(labels).items()):
-        if not members:
-            raise ValueError(f"class {cls} is empty")
         k = max(1, _round_half_up(fraction * len(members)))
         pool = list(members)
         substream(seed, "subsample", cls).shuffle(pool)
@@ -259,7 +241,6 @@ def batches(indices, batch_size: int, seed: int, epoch: int) -> list[list[int]]:
 
 # --- synthetic desk-scale dataset -------------------------------------------
 
-SYNTH_CLASS_NAMES = ("blob_upper_left", "blob_lower_right")
 _BLOB_CENTERS = (0.3, 0.7)  # fractional (row, col) center per class
 _BLOB_AMPLITUDE = 0.75
 _NOISE_MAX = 0.15
@@ -284,14 +265,13 @@ def synth_blobs(n_per_class: int, side: int, seed: int) -> DatasetContainer:
     for i in range(2 * n_per_class):
         cls = i // n_per_class
         center = _BLOB_CENTERS[cls] * side
-        # in stream order: the row and column jitter, then the noise row-major,
-        # each with the arithmetic of rng.uniform(low, high)
+        # in stream order: the row and column jitter, then the noise row-major
         u = rng.next_floats(2 + side * side)
-        cy = center + (-jitter + 2.0 * jitter * u[0])
-        cx = center + (-jitter + 2.0 * jitter * u[1])
+        cy = center + uniform(u[0], -jitter, jitter)
+        cx = center + uniform(u[1], -jitter, jitter)
         blob = _BLOB_AMPLITUDE * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * sigma**2))
         noise = _NOISE_MAX * u[2:].reshape(side, side)
         images[i, 0] = np.clip(blob + noise, 0.0, 1.0)
         labels[i] = cls
     images = _quantize(images) / 255.0
-    return DatasetContainer(images=images, labels=labels, class_names=SYNTH_CLASS_NAMES)
+    return DatasetContainer(images=images, labels=labels)

@@ -19,6 +19,7 @@ on batch size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +31,9 @@ from .metrics import EpochMetrics, MetricError, MetricsReport, auc, confusion, s
 from .models import (
     ModelBundle,
     attach_classifier,
-    classify,
     encode,
     load_checkpoint,
+    mlp_forward,
 )
 from .optim import SgdMomentum
 from .selfsup import CollapseError
@@ -53,15 +54,15 @@ class BkeConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega < 1.0:
             raise ValueError(f"omega must be in [0, 1), got {self.omega}")
-        # written as `not x >= 0.0` so that NaN fails them too
-        if not self.lam >= 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        # written as `not lo < x < inf` so that NaN and inf fail them too
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.positive_class < 0:
@@ -221,7 +222,7 @@ def evaluate_classifier(
     chunks = []
     for start in range(0, len(images), batch_size):
         feats = encode(bundle.online_encoder, spec, images[start : start + batch_size])
-        chunks.append(classify(bundle.classifier, feats).data)
+        chunks.append(mlp_forward(bundle.classifier, feats).data)
     logits = np.concatenate(chunks)
     cm = confusion(logits.argmax(axis=1), labels, bundle.specs.classifier.out_dim)
     # sen_spe_hm_acc range-checks positive_class, so it runs before the column index below
@@ -274,7 +275,7 @@ def finetune(
                     head = {name: tape.leaf(bundle.classifier[name])
                             for name in sorted(bundle.classifier)}
                     feats = encode(enc, spec, images)
-                    logits = classify(head, feats)
+                    logits = mlp_forward(head, feats)
                     if config.lam > 0.0 and len(batch) >= 2:
                         q = _soft_targets_for_batch(feats.data, logits.data, config)
                     else:
@@ -294,5 +295,5 @@ def finetune(
         scores = evaluate_classifier(bundle, test_images, test_labels, config.positive_class)
         history.append(EpochMetrics(epoch=epoch, **scores))
 
-    report = MetricsReport.from_history(history, config.positive_class)
+    report = MetricsReport.from_history(history)
     return bundle, history, report

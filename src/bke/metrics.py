@@ -92,11 +92,10 @@ class MetricsReport:
 
     means: dict[str, float]
     variances: dict[str, float]
-    positive_class: int
     window: int
 
     @staticmethod
-    def from_history(history: list[EpochMetrics], positive_class: int) -> "MetricsReport":
+    def from_history(history: list[EpochMetrics]) -> "MetricsReport":
         if not history:
             raise MetricError("empty history")
         tail = history[-REPORT_WINDOW:]
@@ -106,8 +105,7 @@ class MetricsReport:
             values = np.array([getattr(em, name) for em in tail])
             means[name] = float(values.mean())
             variances[name] = float(values.var())
-        return MetricsReport(means=means, variances=variances,
-                             positive_class=positive_class, window=len(tail))
+        return MetricsReport(means=means, variances=variances, window=len(tail))
 
 
 def write_epoch_csv(history: list[EpochMetrics], path) -> None:

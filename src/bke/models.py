@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, substream, uniform
 from . import tensor as T
 from .textio import write_artifact
 
@@ -112,11 +112,6 @@ class ModelBundle:
     classifier: Params | None = None
 
 
-def _uniform_array(rng: SplitMix64, bound: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Row-major draws with the arithmetic of rng.uniform(-bound, bound)."""
-    return (-bound + 2.0 * bound * rng.next_floats(math.prod(shape))).reshape(shape)
-
-
 def _encoder_shapes(spec: EncoderSpec) -> dict[str, tuple[int, ...]]:
     """Each conv stage's weight (out, in, k, k), then its bias."""
     shapes: dict[str, tuple[int, ...]] = {}
@@ -141,7 +136,7 @@ def _init_params(shapes: dict[str, tuple[int, ...]], rng: SplitMix64) -> Params:
     for name, shape in shapes.items():
         if name.endswith(".w"):
             bound = math.sqrt(1.0 / math.prod(shape[1:] if len(shape) == 4 else shape[:1]))
-        params[name] = _uniform_array(rng, bound, shape)
+        params[name] = uniform(rng.next_floats(math.prod(shape)), -bound, bound).reshape(shape)
     return params
 
 
@@ -201,11 +196,6 @@ def project(params: Mapping, features) -> T.Tensor:
 
 def predict(params: Mapping, projections) -> T.Tensor:
     return mlp_forward(params, projections)
-
-
-def classify(params: Mapping, features) -> T.Tensor:
-    """Class logits (pre-softmax)."""
-    return mlp_forward(params, features)
 
 
 # --- checkpoint IO ----------------------------------------------------------

@@ -60,20 +60,13 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
 
-    def next_float(self) -> float:
-        """Uniform draw in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def next_floats(self, n: int) -> np.ndarray:
-        """n uniform draws in [0, 1) at once: the values of n next_float()
-        calls, leaving the state where they would."""
+        """n uniform draws in [0, 1), the top 53 bits of each of the next n
+        next_u64() values, leaving the state where those calls would."""
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
         out = _unit(_mix_array(steps + np.uint64(self._state)))
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return out
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.next_float()
 
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via top-bits rejection."""
@@ -138,13 +131,18 @@ def lane_draws(states, offsets, count: int) -> np.ndarray:
 
 
 def lane_floats(states, offsets, count: int) -> np.ndarray:
-    """lane_draws as next_float gives them: uniform in [0, 1)."""
+    """lane_draws as floats uniform in [0, 1), as next_floats makes them."""
     return _unit(lane_draws(states, offsets, count))
 
 
 def _unit(draws: np.ndarray) -> np.ndarray:
-    """What next_float makes of each raw uint64 draw."""
+    """The top 53 bits of each raw uint64 draw, as a float in [0, 1)."""
     return (draws >> _U11) * 2.0**-53
+
+
+def uniform(u, low: float, high: float):
+    """Each draw u in [0, 1) mapped onto [low, high)."""
+    return low + (high - low) * u
 
 
 def advance_lanes(states: np.ndarray, counts) -> np.ndarray:

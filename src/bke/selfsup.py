@@ -15,6 +15,7 @@ quantity is the target projection z2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ class SslConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not self.learning_rate > 0.0:  # NaN fails it too
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:  # NaN and inf fail it too
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.zeta <= 1.0:
@@ -79,8 +80,11 @@ class SslEpochLog:
     loss_total: float
 
 
-def _cosine_loss(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """mean over rows of 2 - 2 cos(a_i, b_i), as a taped scalar."""
+def _cosine_loss(a, b, name: str) -> T.Tensor:
+    """mean over rows of 2 - 2 cos(a_i, b_i), as a taped scalar; a and b
+    are tensors or arrays of one shape."""
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"{name}: shapes {np.shape(a)} and {np.shape(b)} differ")
     na = T.l2_normalize_rows(a)
     nb = T.l2_normalize_rows(b)
     m = na.shape[1]
@@ -91,22 +95,14 @@ def _cosine_loss(a: T.Tensor, b: T.Tensor) -> T.Tensor:
 
 def cross_view_loss(q1, q1_prime) -> T.Tensor:
     """Gradients flow through both arguments."""
-    a = q1 if isinstance(q1, T.Tensor) else T.Tensor(q1)
-    b = q1_prime if isinstance(q1_prime, T.Tensor) else T.Tensor(q1_prime)
-    if a.shape != b.shape:
-        raise ValueError(f"cross_view_loss: shapes {a.shape} and {b.shape} differ")
-    return _cosine_loss(a, b)
+    return _cosine_loss(q1, q1_prime, "cross_view_loss")
 
 
 def cross_model_loss(q1_prime, z2) -> T.Tensor:
     """z2 must be detached; the target network receives no gradient."""
     if isinstance(z2, T.Tensor) and z2.tape is not None:
         raise ValueError("cross_model_loss: z2 must be detached")
-    a = q1_prime if isinstance(q1_prime, T.Tensor) else T.Tensor(q1_prime)
-    b = z2 if isinstance(z2, T.Tensor) else T.Tensor(z2)
-    if a.shape != b.shape:
-        raise ValueError(f"cross_model_loss: shapes {a.shape} and {b.shape} differ")
-    return _cosine_loss(a, b)
+    return _cosine_loss(q1_prime, z2, "cross_model_loss")
 
 
 def _register(tape: T.Tape, params) -> dict[str, T.Tensor]:

@@ -82,9 +82,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         taped = "" if self.tape is None else f", node={self.node_id}"
         return f"Tensor(shape={self.shape}{taped})"
@@ -92,7 +89,7 @@ class Tensor:
 
 def detach(t: Tensor) -> Tensor:
     """Value-identical tensor with no tape handle (stop-gradient)."""
-    return t.detach()
+    return Tensor(t.data)
 
 
 class _Node:
@@ -216,20 +213,18 @@ def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callabl
 
 
 def _addsub_vjps(a: np.ndarray, b: np.ndarray, kind: str):
-    """Shape handling for add/sub: equal shapes, or one 1-D bias operand
-    broadcast across the rows of a 2-D operand."""
+    """Shape handling for add/sub: equal shapes, or a 1-D bias b broadcast
+    across the rows of a 2-D a."""
     if a.shape == b.shape:
-        reduce_a = reduce_b = False
+        reduce_b = False
     elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        reduce_a, reduce_b = False, True
-    elif a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0]:
-        reduce_a, reduce_b = True, False
+        reduce_b = True
     else:
         raise ValueError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
     sign = -1.0 if kind == "sub" else 1.0
 
     def vjp_a(g):
-        return g.sum(axis=0) if reduce_a else g
+        return g
 
     def vjp_b(g):
         return sign * (g.sum(axis=0) if reduce_b else g)

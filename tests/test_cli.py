@@ -36,7 +36,7 @@ def make_checkpoint(tmp_path, prefix):
 def test_synth_writes_dataset_and_split(tmp_path, capsys):
     prefix = make_dataset(tmp_path)
     container = read_container(prefix)
-    assert len(container) == 12 and container.height == 16
+    assert container.images.shape == (12, 1, 16, 16)
     split = read_split(Path(str(prefix) + ".split.json"))
     assert len(split.train_indices) == 8 and len(split.test_indices) == 4
     echoed = json.loads(Path(str(prefix) + ".synth.config.json").read_text())
@@ -57,6 +57,14 @@ def test_synth_rejects_oversized_holdout(tmp_path, capsys):
     assert run("synth", "--out", tmp_path / "x", "--n-per-class", 3,
                "--test-per-class", 3) == 1
     assert "test_per_class" in capsys.readouterr().err
+
+
+def test_failed_synth_writes_nothing(tmp_path, capsys):
+    # without its split manifest, a later pretrain would train on every image
+    assert run("synth", "--out", tmp_path / "x", "--n-per-class", 3,
+               "--test-per-class", 0) == 1
+    assert "test_per_class must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- config handling -----------------------------------------------------------
@@ -189,16 +197,17 @@ def test_finetune_rejects_bad_fraction(tmp_path, capsys):
 @pytest.mark.parametrize("flag,name", [("--lambda", "lambda"), ("--tau", "tau"),
                                        ("--learning-rate", "learning_rate")])
 def test_finetune_rejects_nan_option_before_writing(tmp_path, capsys, flag, name):
-    # argparse's float accepts "nan"; the config check must name the option
-    # rather than let the run go on as plain CE or fail inside training
+    # argparse's float accepts "nan" and "inf"; the config check must name the
+    # option rather than let the run go on as plain CE or fail inside training
     prefix = make_dataset(tmp_path)
     checkpoint = make_checkpoint(tmp_path, prefix)
     out = tmp_path / "ft"
-    assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
-               flag, "nan") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must be") and "nan" in err
-    assert not out.exists()
+    for bad in ("nan", "inf"):
+        assert run("finetune", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+                   flag, bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and bad in err
+        assert not out.exists()
 
 
 def test_finetune_divergence_names_phase_epoch_batch(tmp_path, capsys):

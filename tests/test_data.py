@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -27,13 +28,14 @@ from bke.data import (
 from bke.rng import substream
 
 from corruption import corruptions
+from scalar_draws import uniform
 
 
 def small_container(n=6, side=8, seed=0):
     rng = np.random.default_rng(seed)
     images = np.rint(rng.uniform(size=(n, 1, side, side)) * 255) / 255.0
     labels = np.arange(n, dtype=np.int64) % 2
-    return DatasetContainer(images=images, labels=labels, class_names=("a", "b"))
+    return DatasetContainer(images=images, labels=labels)
 
 
 # --- container IO -----------------------------------------------------------
@@ -43,10 +45,10 @@ def test_round_trip_preserves_pixels_and_labels(tmp_path):
     container = small_container()
     prefix = tmp_path / "set"
     write_container(container, prefix)
-    back = read_container(prefix, class_names=container.class_names)
+    back = read_container(prefix)
     np.testing.assert_array_equal(back.images, container.images)
     np.testing.assert_array_equal(back.labels, container.labels)
-    assert back.class_names == container.class_names
+    assert back.n_classes == container.n_classes == 2
 
 
 def test_file_sizes_match_layout(tmp_path):
@@ -154,14 +156,16 @@ def test_corrupt_split_raises_only_container_error(blob):
 
 def test_container_validation():
     with pytest.raises(ContainerError, match=r"\(N, 1, H, W\)"):
-        DatasetContainer(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=np.int64), ("a",))
+        DatasetContainer(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=np.int64))
     with pytest.raises(ContainerError, match="count mismatch"):
-        DatasetContainer(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=np.int64), ("a",))
-    with pytest.raises(ContainerError, match="out of range"):
-        DatasetContainer(np.zeros((2, 1, 4, 4)), np.array([0, 1]), ("only",))
+        DatasetContainer(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=np.int64))
+    # the u8 label file holds [0, 256); a label past it would wrap on write
+    for bad in (256, -1):
+        with pytest.raises(ContainerError, match=r"out of range \[0, 256\)"):
+            DatasetContainer(np.zeros((2, 1, 4, 4)), np.array([0, bad]))
     with pytest.raises(ContainerError, match=r"\[0, 1\]"):
         write_container(
-            DatasetContainer(np.full((1, 1, 4, 4), 1.5), np.zeros(1, dtype=np.int64), ("a",)),
+            DatasetContainer(np.full((1, 1, 4, 4), 1.5), np.zeros(1, dtype=np.int64)),
             "/tmp/never-written",
         )
 
@@ -315,7 +319,7 @@ def test_synth_blobs_shapes_and_quantization():
     container = synth_blobs(n_per_class=4, side=16, seed=5)
     assert container.images.shape == (8, 1, 16, 16)
     assert container.labels.tolist() == [0] * 4 + [1] * 4
-    assert container.class_names == ("blob_upper_left", "blob_lower_right")
+    assert container.n_classes == 2
     steps = container.images * 255.0
     np.testing.assert_allclose(steps, np.rint(steps), atol=1e-9)
     assert 0.0 <= container.images.min() and container.images.max() <= 1.0
@@ -339,7 +343,7 @@ def test_synth_blobs_classes_live_in_opposite_corners():
 
 
 def test_synth_blobs_match_per_pixel_draws():
-    # the blob set drawn one rng.uniform call at a time: row jitter, column
+    # the blob set drawn one uniform call at a time: row jitter, column
     # jitter, then the noise row-major, per image
     n_per_class, side, seed = 3, 13, 9
     rng = substream(seed, "synth")
@@ -347,16 +351,22 @@ def test_synth_blobs_match_per_pixel_draws():
     want = np.empty((2 * n_per_class, 1, side, side))
     for i in range(2 * n_per_class):
         center = (0.3, 0.7)[i // n_per_class] * side
-        cy = center + rng.uniform(-side / 16.0, side / 16.0)
-        cx = center + rng.uniform(-side / 16.0, side / 16.0)
+        cy = center + uniform(rng, -side / 16.0, side / 16.0)
+        cx = center + uniform(rng, -side / 16.0, side / 16.0)
         blob = 0.75 * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * (side / 6.0) ** 2))
         noise = np.empty((side, side))
         for r in range(side):
             for c in range(side):
-                noise[r, c] = rng.uniform(0.0, 0.15)
+                noise[r, c] = uniform(rng, 0.0, 0.15)
         want[i, 0] = np.clip(blob + noise, 0.0, 1.0)
     got = synth_blobs(n_per_class, side, seed)
     np.testing.assert_array_equal(got.images, np.rint(want * 255.0).astype(np.uint8) / 255.0)
+
+
+def test_synth_blobs_bytes_are_pinned():
+    images = synth_blobs(4, 16, 5).images
+    assert hashlib.sha256(images.tobytes()).hexdigest() == (
+        "4a8d7a30dab5419b128ba3b29599eb4c5048be5056db921aacc57f8dd24afa5b")
 
 
 def test_synth_blobs_argument_errors():

@@ -433,8 +433,9 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("name", ["omega", "lam", "tau", "learning_rate", "momentum"])
 def test_config_rejects_nan(name):
-    with pytest.raises(ValueError, match="lambda" if name == "lam" else name):
-        BkeConfig(**{name: float("nan")})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda" if name == "lam" else name):
+            BkeConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("momentum", [1.5, -0.1, 1.0, float("nan")])

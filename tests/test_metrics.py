@@ -152,7 +152,7 @@ def test_auc_complement_property():
 
 def test_report_uses_last_window_epochs():
     history = history_fixture(25)
-    report = MetricsReport.from_history(history, positive_class=0)
+    report = MetricsReport.from_history(history)
     assert report.window == 10
     tail = history[-10:]
     for name in ("sen", "spe", "hm", "auc", "acc"):
@@ -163,9 +163,8 @@ def test_report_uses_last_window_epochs():
 
 def test_report_short_history_uses_all():
     history = history_fixture(4)
-    report = MetricsReport.from_history(history, positive_class=1)
+    report = MetricsReport.from_history(history)
     assert report.window == 4
-    assert report.positive_class == 1
 
 
 def test_report_variance_is_population_variance():
@@ -173,13 +172,13 @@ def test_report_variance_is_population_variance():
         EpochMetrics(epoch=i, sen=v, spe=v, hm=v, auc=v, acc=v)
         for i, v in enumerate((0.0, 1.0))
     ]
-    report = MetricsReport.from_history(history, 0)
+    report = MetricsReport.from_history(history)
     assert report.variances["acc"] == pytest.approx(0.25)  # not 0.5 (sample var)
 
 
 def test_report_empty_history_rejected():
     with pytest.raises(MetricError, match="empty"):
-        MetricsReport.from_history([], 0)
+        MetricsReport.from_history([])
 
 
 def test_epoch_csv_round_trip(tmp_path):
@@ -200,7 +199,7 @@ def test_epoch_csv_bad_header(tmp_path):
 
 
 def test_report_json_layout(tmp_path):
-    report = MetricsReport.from_history(history_fixture(12), 0)
+    report = MetricsReport.from_history(history_fixture(12))
     path = tmp_path / "report.json"
     write_report_json(report, path)
     doc = json.loads(path.read_text())
@@ -212,7 +211,7 @@ def test_report_json_layout(tmp_path):
 
 
 def test_report_json_byte_stable(tmp_path):
-    report = MetricsReport.from_history(history_fixture(12), 0)
+    report = MetricsReport.from_history(history_fixture(12))
     write_report_json(report, tmp_path / "a.json")
     write_report_json(report, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

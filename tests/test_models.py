@@ -11,6 +11,8 @@ from hypothesis import given, settings
 
 from bke import tensor as T
 from bke.rng import substream
+
+from scalar_draws import uniform
 from bke.models import (
     CHECKPOINT_MAGIC,
     CLASSIFIER_HIDDEN_DIM,
@@ -20,7 +22,6 @@ from bke.models import (
     MlpSpec,
     ModelBundle,
     attach_classifier,
-    classify,
     encode,
     init_bundle,
     load_checkpoint,
@@ -74,7 +75,7 @@ def test_init_respects_fan_in_bounds():
 
 
 def test_init_matches_per_parameter_draws():
-    # one rng.uniform(-bound, bound) call per entry, row-major, in init order
+    # one uniform(-bound, bound) draw per entry, row-major, in init order
     bundle = init_bundle(TINY, 6)
     layouts = (
         ("online_encoder", "encoder",
@@ -86,7 +87,7 @@ def test_init_matches_per_parameter_draws():
         for name, fan_in in layout:
             arr = getattr(bundle, group)[name]
             bound = math.sqrt(1.0 / fan_in)
-            want = [rng.uniform(-bound, bound) for _ in range(arr.size)]
+            want = [uniform(rng, -bound, bound) for _ in range(arr.size)]
             np.testing.assert_array_equal(arr.ravel(), want)
 
 
@@ -117,7 +118,7 @@ def test_mlp_forward_matches_manual():
 def test_attach_classifier_and_classify():
     bundle = init_bundle(TINY, 5)
     attach_classifier(bundle, n_classes=4, seed=77)
-    logits = classify(bundle.classifier, np.zeros((2, 3)))
+    logits = mlp_forward(bundle.classifier, np.zeros((2, 3)))
     assert logits.shape == (2, 4)
     again = init_bundle(TINY, 5)
     attach_classifier(again, n_classes=4, seed=77)

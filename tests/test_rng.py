@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bke.rng import SplitMix64, lane_draws, lane_floats, substream, substream_states
+from bke.rng import SplitMix64, lane_draws, lane_floats, substream, substream_states, uniform
+
+from scalar_draws import next_float
 
 
 def test_same_seed_same_stream():
@@ -34,9 +36,8 @@ def test_substream_deterministic():
 
 
 def test_next_float_in_unit_interval():
-    rng = SplitMix64(5)
-    xs = [rng.next_float() for _ in range(10_000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
+    xs = SplitMix64(5).next_floats(10_000)
+    assert np.all((0.0 <= xs) & (xs < 1.0))
     assert abs(np.mean(xs) - 0.5) < 0.02
 
 
@@ -44,7 +45,7 @@ def test_next_float_in_unit_interval():
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_next_floats_equal_scalar_draws_and_leave_same_state(n, seed):
     scalar, block = SplitMix64(seed), SplitMix64(seed)
-    want = np.array([scalar.next_float() for _ in range(n)], dtype=np.float64)
+    want = np.array([next_float(scalar) for _ in range(n)], dtype=np.float64)
     got = block.next_floats(n)
     assert got.dtype == np.float64 and got.shape == (n,)
     np.testing.assert_array_equal(got, want)
@@ -54,10 +55,9 @@ def test_next_floats_equal_scalar_draws_and_leave_same_state(n, seed):
 @settings(max_examples=30)
 @given(st.integers(0, 2**64 - 1), st.floats(-100, 100), st.floats(0.001, 100))
 def test_uniform_respects_bounds(seed, lo, width):
-    rng = SplitMix64(seed)
     hi = lo + width
-    for _ in range(20):
-        assert lo <= rng.uniform(lo, hi) < hi
+    xs = uniform(SplitMix64(seed).next_floats(20), lo, hi)
+    assert np.all((lo <= xs) & (xs < hi))
 
 
 @settings(max_examples=30)
@@ -123,4 +123,4 @@ def test_lane_draws_equal_each_lanes_next_u64():
         assert [int(v) for v in row] == [rng.next_u64() for _ in range(7)]
     rng = SplitMix64(int(states[0]))
     np.testing.assert_array_equal(lane_floats(states, 0, 4)[0],
-                                  [rng.next_float() for _ in range(4)])
+                                  [next_float(rng) for _ in range(4)])

@@ -320,13 +320,15 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name", ["learning_rate", "momentum", "zeta"])
 def test_config_rejects_nan(name):
-    with pytest.raises(ValueError, match=name):
-        SslConfig(**{name: float("nan")})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=name):
+            SslConfig(**{name: bad})
 
 
 def test_optimizer_rejects_nan():
-    with pytest.raises(ValueError, match="lr must be positive"):
-        SgdMomentum(float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            SgdMomentum(bad)
     with pytest.raises(ValueError, match="momentum"):
         SgdMomentum(0.1, float("nan"))
 
