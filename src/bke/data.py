@@ -47,6 +47,8 @@ class DatasetContainer:
     def __post_init__(self) -> None:
         if self.images.ndim != 4 or self.images.shape[1] != 1:
             raise ContainerError(f"images must be (N, 1, H, W), got {self.images.shape}")
+        if self.images.shape[2] != self.images.shape[3]:
+            raise ContainerError(f"images must be square, got H x W = {self.images.shape[2:]}")
         if len(self.images) != len(self.labels):
             raise ContainerError(
                 f"count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
@@ -144,17 +146,23 @@ class SplitSpec:
         overlap = set(self.train_indices) & set(self.test_indices)
         if overlap:
             raise ContainerError(f"train/test overlap: {sorted(overlap)[:5]}...")
+        for side, indices in (("train", self.train_indices), ("test", self.test_indices)):
+            if len(set(indices)) != len(indices):
+                raise ContainerError(f"{side} indices repeat an index")
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _indices_by_class(labels: np.ndarray) -> dict[int, list[int]]:
+def _indices_by_class(labels: np.ndarray, seed: int, stream: str):
+    """Per class in ascending order: cls and its indices, shuffled by substream(seed, stream, cls)."""
     groups: dict[int, list[int]] = {}
     for idx, lbl in enumerate(labels):
         groups.setdefault(int(lbl), []).append(idx)
-    return groups
+    for cls, members in sorted(groups.items()):
+        substream(seed, stream, cls).shuffle(members)
+        yield cls, members
 
 
 def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> list[int]:
@@ -163,13 +171,8 @@ def stratified_subsample(labels: np.ndarray, fraction: float, seed: int) -> list
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return list(range(len(labels)))
-    chosen: list[int] = []
-    for cls, members in sorted(_indices_by_class(labels).items()):
-        k = max(1, _round_half_up(fraction * len(members)))
-        pool = list(members)
-        substream(seed, "subsample", cls).shuffle(pool)
-        chosen.extend(sorted(pool[:k]))
-    return sorted(chosen)
+    return sorted(i for _, pool in _indices_by_class(labels, seed, "subsample")
+                  for i in pool[: max(1, _round_half_up(fraction * len(pool)))])
 
 
 def stratified_split(labels: np.ndarray, test_per_class: int, seed: int) -> SplitSpec:
@@ -178,13 +181,11 @@ def stratified_split(labels: np.ndarray, test_per_class: int, seed: int) -> Spli
         raise ValueError("test_per_class must be >= 1")
     train: list[int] = []
     test: list[int] = []
-    for cls, members in sorted(_indices_by_class(labels).items()):
-        if len(members) <= test_per_class:
+    for cls, pool in _indices_by_class(labels, seed, "split"):
+        if len(pool) <= test_per_class:
             raise ValueError(
-                f"class {cls} has {len(members)} samples, cannot hold out {test_per_class}"
+                f"class {cls} has {len(pool)} samples, cannot hold out {test_per_class}"
             )
-        pool = list(members)
-        substream(seed, "split", cls).shuffle(pool)
         test.extend(pool[:test_per_class])
         train.extend(pool[test_per_class:])
     return SplitSpec(

@@ -122,9 +122,9 @@ def normalize_similarity(raw: np.ndarray) -> np.ndarray:
 
 
 def probabilities(logits, tau: float) -> ProbMatrix:
-    """Row softmax of logits/tau, numerically identical to the taped op."""
-    values = logits.data if isinstance(logits, T.Tensor) else np.asarray(logits, dtype=np.float64)
-    return ProbMatrix(values=T.softmax_rows(T.Tensor(values), tau).data)
+    """Row softmax of logits/tau as plain values, which no tape records."""
+    values = logits.data if isinstance(logits, T.Tensor) else logits
+    return ProbMatrix(values=T.softmax_rows(values, tau).data)
 
 
 def _check_propagation_args(y_hat: np.ndarray, p: np.ndarray, omega: float) -> None:
@@ -164,6 +164,16 @@ def soft_targets_closed_form(y_hat: np.ndarray, p: np.ndarray, omega: float) -> 
     return SoftTargets(values=q, method="closed_form")
 
 
+def soft_targets(features, logits, omega: float, tau: float, iters: int | None = None) -> SoftTargets:
+    """Q for one batch: the similarity graph over features, P = softmax of
+    logits/tau, then the closed form, or ``iters`` steps of the iteration."""
+    y_hat = normalize_similarity(similarity_matrix(features))
+    p = probabilities(logits, tau).values
+    if iters is None:
+        return soft_targets_closed_form(y_hat, p, omega)
+    return propagate_iterative(y_hat, p, omega, iters)
+
+
 def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, lam: float) -> T.Tensor:
     """CE against hard labels plus lam * tau^2 * mean KL(Q || P).
 
@@ -178,11 +188,12 @@ def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, la
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels out of range [0, {k})")
 
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    # mean_all spreads the row sums over N*K entries; scale by -K to get
-    # the mean negative log-likelihood
-    ce = T.scale(T.mean_all(T.mul(T.Tensor(onehot), T.log(T.softmax_rows(logits, 1.0)))), -float(k))
+    def xent(targets: np.ndarray, t: float) -> T.Tensor:
+        # mean over rows of -sum_j targets_ij log softmax(logits/t)_ij: mean_all
+        # spreads the row sums over N*K entries, so scale by -K
+        return T.scale(T.mean_all(T.mul(T.Tensor(targets), T.log(T.softmax_rows(logits, t)))), -float(k))
+
+    ce = xent(np.eye(k)[labels], 1.0)
     if lam == 0.0 or q is None:
         return ce
 
@@ -196,16 +207,8 @@ def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, la
     # constant side of the KL, with the 0 ln 0 = 0 convention
     positive = q > 0.0
     q_log_q = float(np.sum(q[positive] * np.log(q[positive])))
-    p_tau = T.softmax_rows(logits, tau)
-    cross = T.scale(T.mean_all(T.mul(T.Tensor(q), T.log(p_tau))), -float(k))
-    kl = T.add(cross, T.Tensor([q_log_q / n]))
+    kl = T.add(xent(q, tau), T.Tensor([q_log_q / n]))
     return T.add(ce, T.scale(kl, lam * tau * tau))
-
-
-def _soft_targets_for_batch(features: np.ndarray, logits: np.ndarray, config: BkeConfig) -> np.ndarray:
-    y_hat = normalize_similarity(similarity_matrix(features))
-    p = probabilities(logits, config.tau).values
-    return soft_targets_closed_form(y_hat, p, config.omega).values
 
 
 def evaluate_classifier(
@@ -227,7 +230,7 @@ def evaluate_classifier(
     cm = confusion(logits.argmax(axis=1), labels, bundle.specs.classifier.out_dim)
     # sen_spe_hm_acc range-checks positive_class, so it runs before the column index below
     sen, spe, hm, acc = sen_spe_hm_acc(cm, positive_class)
-    scores = T.softmax_rows(T.Tensor(logits), 1.0).data[:, positive_class]
+    scores = T.softmax_rows(logits, 1.0).data[:, positive_class]
     binary = (np.asarray(labels) == positive_class).astype(np.int64)
     return {"sen": sen, "spe": spe, "hm": hm, "auc": auc(scores, binary), "acc": acc}
 
@@ -277,7 +280,7 @@ def finetune(
                     feats = encode(enc, spec, images)
                     logits = mlp_forward(head, feats)
                     if config.lam > 0.0 and len(batch) >= 2:
-                        q = _soft_targets_for_batch(feats.data, logits.data, config)
+                        q = soft_targets(feats.data, logits.data, config.omega, config.tau).values
                     else:
                         q = None
                     loss = bke_loss(logits, labels, q, config.tau, config.lam)

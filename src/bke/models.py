@@ -294,6 +294,8 @@ def _read_bundle(fh) -> ModelBundle:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
         name = _read_exact(fh, name_len).decode("utf-8")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
         (rank,) = struct.unpack("<B", _read_exact(fh, 1))
         dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
         n_bytes = 8 * math.prod(dims)

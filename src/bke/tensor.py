@@ -6,10 +6,11 @@ reverse creation order exactly once, accumulating vector-Jacobian products
 into the registered leaf parameters. A tape is single-use: as backward
 passes a node it frees the node's gradient and vjps, and with them the
 arrays they saved (relu's mask; conv2d's input view and at most one
-chunk, about 1 MiB, of its column matrix). Tensors without a tape
-handle are plain immutable values; :func:`detach` drops the handle, so
-anything computed from a detached tensor contributes exactly zero
-gradient upstream.
+chunk, about 1 MiB, of its column matrix). A primitive records a node
+only when some input is a tensor on the active tape, so plain math run
+under a tape stays off it. Tensors without a tape handle are plain
+immutable values; :func:`detach` drops the handle, so anything computed
+from a detached tensor contributes exactly zero gradient upstream.
 
 All arithmetic is 64-bit. Any primitive that produces a NaN or Inf raises
 :class:`FloatingPointError` immediately instead of letting the poison
@@ -189,27 +190,19 @@ def _as_value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callable | None]) -> Tensor:
-    """Wrap a primitive's output, recording a node if a tape is active.
-
-    ``vjps[i]`` maps the output gradient to input i's gradient; only
-    inputs that are tensors bound to the active tape become edges.
-    """
+def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callable]) -> Tensor:
+    """Wrap a primitive's output. A node is recorded only when some input
+    is a tensor on the active tape; those inputs become its edges, and
+    ``vjps[i]`` maps the output gradient to input i's gradient."""
     _check_finite(out, kind)
     tape = _active_tape()
     if tape is None:
         return Tensor._checked(out, None, None)
-    edges = []
-    for inp, vjp in zip(inputs, vjps):
-        if (
-            vjp is not None
-            and isinstance(inp, Tensor)
-            and inp.tape is tape
-            and inp.node_id is not None
-        ):
-            edges.append((inp.node_id, vjp))
-    nid = tape._record(kind, edges, out.shape)
-    return Tensor._checked(out, tape, nid)
+    edges = [(inp.node_id, vjp) for inp, vjp in zip(inputs, vjps)
+             if isinstance(inp, Tensor) and inp.tape is tape]
+    if not edges:
+        return Tensor._checked(out, None, None)
+    return Tensor._checked(out, tape, tape._record(kind, edges, out.shape))
 
 
 def _addsub_vjps(a: np.ndarray, b: np.ndarray, kind: str):
@@ -325,8 +318,8 @@ def softmax_rows(t, tau: float = 1.0) -> Tensor:
     tv = _as_value(t)
     if tv.ndim != 2:
         raise ValueError(f"softmax_rows: expected 2-D input, got shape {tv.shape}")
-    if not tau > 0.0:
-        raise ValueError("softmax_rows: tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError("softmax_rows: tau must be positive and finite")
     scaled = tv / tau
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from bke.metrics import read_epoch_csv
 from bke.textio import read_float_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -367,6 +371,24 @@ def test_split_index_past_the_end_is_reported(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "eval"])
+def test_dataset_without_split_manifest_is_an_error(tmp_path, capsys, command):
+    # with no manifest there is no split to honour; no command falls back to
+    # training or scoring every image as if it were train
+    prefix = make_dataset(tmp_path)
+    checkpoint = make_checkpoint(tmp_path, prefix)
+    if command == "eval":
+        checkpoint = make_finetuned(tmp_path, prefix, checkpoint)
+    manifest = Path(str(prefix) + ".split.json")
+    manifest.unlink()
+    out = tmp_path / "out"
+    args = {"pretrain": (), "eval": ("--checkpoint", checkpoint, "--subset", "train")}[command]
+    assert run(command, "--data", prefix, "--out", out, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(manifest) in err
+    assert not out.exists()
+
+
 def test_output_directories_hold_exactly_their_artifacts(tmp_path):
     prefix = make_dataset(tmp_path / "data")
     checkpoint = make_checkpoint(tmp_path, prefix)
@@ -475,6 +497,16 @@ def test_propagate_rejects_non_finite_cell(tmp_path, capsys, which, cell):
     assert not out.exists()
 
 
+def test_propagate_rejects_tau_outside_zero_to_inf(tmp_path, capsys):
+    # at tau = inf every soft target would be uniform, whatever the logits
+    out = tmp_path / "q.csv"
+    for bad in ("0", "inf", "nan"):
+        assert run("propagate", "--features", DATA_DIR / "features.csv",
+                   "--logits", DATA_DIR / "logits.csv", "--out", out, "--tau", bad) == 1
+        assert "tau must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # --- sweep -------------------------------------------------------------------------
 
 
@@ -530,3 +562,15 @@ def test_gradcheck_perturbed_negative_control_fails(capsys):
     assert run("gradcheck", "--seed", 4, "--perturb") == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
+
+
+# --- scripts ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("script", ["run_sweep.py", "run_synth_experiment.py"])
+def test_documented_script_imports_and_parses(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage:")

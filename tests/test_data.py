@@ -170,6 +170,19 @@ def test_container_validation():
         )
 
 
+def test_non_square_container_neither_written_nor_read(tmp_path):
+    # the encoder and the view sampler take one side; a 16x12 image would be
+    # cropped to its top 12x12 square without a word
+    with pytest.raises(ContainerError, match="square"):
+        DatasetContainer(np.zeros((2, 1, 16, 12)), np.zeros(2, dtype=np.int64))
+    prefix = tmp_path / "wide"
+    write_container(DatasetContainer(np.zeros((2, 1, 16, 16)), np.array([0, 1])), prefix)
+    header = b"BKEI" + struct.pack("<IIII", 1, 2, 16, 12)
+    images_path(prefix).write_bytes(header + bytes(2 * 16 * 12))
+    with pytest.raises(ContainerError, match="square"):
+        read_container(prefix)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_write_rejects_nonfinite_pixel(tmp_path, bad):
     container = small_container()
@@ -288,6 +301,18 @@ def test_split_manifest_rejects_non_index_values(tmp_path, index):
 def test_split_overlap_rejected():
     with pytest.raises(ContainerError, match="overlap"):
         SplitSpec(train_indices=(0, 1), test_indices=(1, 2), fraction=1.0, seed=0)
+
+
+def test_split_repeated_index_rejected(tmp_path):
+    # a repeated train index trains an image twice per epoch; a repeated test
+    # index counts it twice in every metric
+    for train, test, side in (((1, 1, 2), (3,), "train"), ((1, 2), (3, 3), "test")):
+        with pytest.raises(ContainerError, match=f"{side} indices repeat an index"):
+            SplitSpec(train_indices=train, test_indices=test, fraction=1.0, seed=0)
+    path = tmp_path / "rep.split.json"
+    path.write_text('{"seed": 1, "fraction": 1.0, "train": [1, 1, 2], "test": [3, 3]}')
+    with pytest.raises(ContainerError, match="repeat an index"):
+        read_split(path)
 
 
 # --- batching -------------------------------------------------------------------

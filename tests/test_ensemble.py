@@ -19,6 +19,7 @@ from bke.ensemble import (
     probabilities,
     propagate_iterative,
     similarity_matrix,
+    soft_targets,
     soft_targets_closed_form,
 )
 from bke.metrics import MetricError
@@ -222,6 +223,30 @@ def test_probabilities_match_taped_softmax_bitwise():
         )
 
 
+def test_probabilities_record_no_tape_node():
+    logits = np.random.default_rng(13).normal(size=(4, 3))
+    with T.Tape() as tape:
+        taped = tape.leaf(logits)
+        before = len(tape)
+        probabilities(taped, 2.0)
+        probabilities(logits, 2.0)
+        assert len(tape) == before
+
+
+def test_soft_targets_is_the_graph_then_either_route():
+    rng = np.random.default_rng(31)
+    features, logits = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    y_hat = normalize_similarity(similarity_matrix(features))
+    p = probabilities(logits, 1.5).values
+    closed = soft_targets(features, logits, 0.6, 1.5)
+    assert closed.method == "closed_form"
+    np.testing.assert_array_equal(closed.values, soft_targets_closed_form(y_hat, p, 0.6).values)
+    for t in (1, 7):
+        iterated = soft_targets(features, logits, 0.6, 1.5, iters=t)
+        assert iterated.method == f"iterative({t})"
+        np.testing.assert_array_equal(iterated.values, propagate_iterative(y_hat, p, 0.6, t).values)
+
+
 # --- loss -----------------------------------------------------------------------
 
 
@@ -338,6 +363,24 @@ def tiny_config(**kwargs):
                 learning_rate=0.2, momentum=0.5, seed=4)
     base.update(kwargs)
     return BkeConfig(**base)
+
+
+def test_finetune_step_records_no_node_without_edges(monkeypatch):
+    # counted through Tape._record, as the benchmark's tracer counts nodes
+    nodes = []
+    record = T.Tape._record
+
+    def counting_record(tape, kind, edges, shape):
+        nodes.append((kind, len(edges)))
+        return record(tape, kind, edges, shape)
+
+    monkeypatch.setattr(T.Tape, "_record", counting_record)
+    container, split = tiny_setup()
+    finetune(container, split, init_bundle(TINY, 5), tiny_config(epochs=1))
+    assert nodes and all(kind == "leaf" or n_edges for kind, n_edges in nodes)
+    # 16 train images in two batches of 8: a CE and a KL softmax on the tape
+    # per batch, while the soft targets' softmax stays off it
+    assert sum(kind == "softmax_rows" for kind, _ in nodes) == 4
 
 
 def test_finetune_deterministic():

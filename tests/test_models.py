@@ -300,6 +300,17 @@ def test_checkpoint_record_outside_the_layout_rejected(tmp_path, name):
         load_checkpoint(path)
 
 
+def test_checkpoint_duplicate_record_rejected(tmp_path):
+    # a second copy of a layout tensor would silently replace the first
+    path = tmp_path / "model.bkec"
+    save_checkpoint(init_bundle(TINY, 8), path)
+    forged = _with_record(path.read_bytes(), "online_encoder/stage0.b", np.array([123.0, 456.0]))
+    path.write_bytes(forged)
+    with pytest.raises(CheckpointError,
+                       match="duplicate tensor 'online_encoder/stage0.b' in checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "model.bkec"
     bundle = init_bundle(TINY, 8)

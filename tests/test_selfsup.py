@@ -189,6 +189,24 @@ def test_ssl_step_outputs_consistent():
     assert out.feature_std > 0.0
 
 
+def test_ssl_step_records_no_node_without_edges(monkeypatch):
+    # counted through Tape._record, as the benchmark's tracer counts nodes
+    nodes = []
+    record = T.Tape._record
+
+    def counting_record(tape, kind, edges, shape):
+        nodes.append((kind, len(edges)))
+        return record(tape, kind, edges, shape)
+
+    monkeypatch.setattr(T.Tape, "_record", counting_record)
+    config = step_config()
+    ssl_step(init_bundle(TINY, 17), images_fixture(), config, SgdMomentum(0.05, 0.9),
+             step_rngs(config))
+    assert nodes and all(kind == "leaf" or n_edges for kind, n_edges in nodes)
+    # q1 and q1' are normalized on the tape; the detached target z2 is not
+    assert sum(kind == "l2_normalize_rows" for kind, _ in nodes) == 3
+
+
 def test_ssl_step_zeta_one_freezes_target():
     bundle = init_bundle(TINY, 19)
     before = {k: v.copy() for k, v in bundle.target_encoder.items()}

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -173,6 +174,23 @@ def test_constants_inside_tape_carry_no_edges():
     np.testing.assert_allclose(grads[x.node_id].data, np.array([2.5, 2.5]))
 
 
+def test_plain_math_under_a_tape_records_no_node():
+    plain = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+    with T.Tape() as tape:
+        x = tape.leaf(plain)
+        before = len(tape)
+        p = T.softmax_rows(plain, 2.0)
+        loss = T.mean_all(T.mul(p, T.l2_normalize_rows(T.Tensor(plain))))
+        assert len(tape) == before
+        assert p.tape is None and loss.tape is None
+        with pytest.raises(ValueError, match="loss is not attached"):
+            tape.backward(loss)
+        # one taped input is enough: the node gets that input as its one edge
+        taped = T.mul(x, p)
+        assert len(tape) == before + 1 and taped.tape is tape
+        assert [pid for pid, _ in tape._nodes[taped.node_id].edges] == [x.node_id]
+
+
 # --- forward values ----------------------------------------------------------
 
 
@@ -219,8 +237,10 @@ def test_softmax_temperature_flattens():
 
 
 def test_softmax_requires_positive_tau():
-    with pytest.raises(ValueError, match="tau"):
-        T.softmax_rows([[1.0, 2.0]], 0.0)
+    # at tau = inf every row would come out uniform, whatever its values
+    for bad in (0.0, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            T.softmax_rows([[1.0, 2.0]], bad)
 
 
 def test_l2_normalize_rejects_zero_row():
