@@ -21,6 +21,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields, replace
@@ -236,8 +237,9 @@ def _load_dataset(prefix: str):
 def _finetune_data(cfg: dict):
     """The dataset and its split, with the train side cut to a per-class fraction."""
     container, split = _load_dataset(cfg["data"])
-    if not split.test_indices:
-        raise ConfigError(f"{split_path(cfg['data'])}: split has no test indices")
+    for side, indices in (("train", split.train_indices), ("test", split.test_indices)):
+        if not indices:
+            raise ConfigError(f"{split_path(cfg['data'])}: split has no {side} indices")
     train = list(split.train_indices)
     keep = stratified_subsample(container.labels[train], cfg["fraction"], cfg["seed"])
     return container, replace(split, train_indices=tuple(train[i] for i in keep))
@@ -425,6 +427,7 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bke", description="two-phase self-supervised training pipeline"

@@ -118,9 +118,13 @@ def read_epoch_csv(path) -> list[EpochMetrics]:
         header = fh.readline().strip()
         if header != "epoch,sen,spe,hm,auc,acc":
             raise MetricError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            cells = line.strip().split(",")
-            history.append(EpochMetrics(int(cells[0]), *(float(c) for c in cells[1:])))
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            cells = line.split(",")
+            try:
+                history.append(EpochMetrics(int(cells[0]), *(float(c) for c in cells[1:])))
+            except (TypeError, ValueError):
+                raise MetricError(f"{path}: line {lineno}: not an epoch row: {line!r}") from None
     return history
 
 

@@ -11,7 +11,10 @@ The state of a SplitMix64 stream is one uint64 that each draw advances by
 a fixed step, so draw k of a stream is the mix of ``state + k * step``.
 That lets a batch of streams run as lanes of one uint64 array:
 :func:`substream_states` derives many substreams at once and
-:func:`lane_draws` reads any window of every lane's stream.
+:func:`lane_draws` reads any window of every lane's stream. One stream
+reads a block of draws at once the same way: ``next_floats`` and
+``shuffle`` use exactly the draws, and leave exactly the state, of one
+``next_u64`` or ``randbelow`` call per element.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MUL1, _U_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
+# most raw draws a shuffle fetches at once; the ones it leaves unused go back
+_SHUFFLE_BLOCK = 1024
 
 
 def _mix(z: int) -> int:
@@ -63,8 +68,13 @@ class SplitMix64:
     def next_floats(self, n: int) -> np.ndarray:
         """n uniform draws in [0, 1), the top 53 bits of each of the next n
         next_u64() values, leaving the state where those calls would."""
+        return _unit(self._next_u64s(n))
+
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next n next_u64() values as a uint64 array, leaving the state
+        where those calls would."""
         steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
-        out = _unit(_mix_array(steps + np.uint64(self._state)))
+        out = _mix_array(steps + np.uint64(self._state))
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return out
 
@@ -79,10 +89,22 @@ class SplitMix64:
                 return r
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates."""
+        """In-place Fisher-Yates. The draws come a block at a time and the
+        ones left unused are handed back, so the permutation and the end
+        state are those of one randbelow(i + 1) per element."""
+        draws, used = [], 0
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            shift = 64 - (i + 1).bit_length()
+            while True:  # randbelow's top-bits rejection
+                if used == len(draws):
+                    # the i swaps left take about 1.4 draws each
+                    draws, used = self._next_u64s(min(2 * i, _SHUFFLE_BLOCK)).tolist(), 0
+                j = draws[used] >> shift
+                used += 1
+                if j <= i:
+                    break
             seq[i], seq[j] = seq[j], seq[i]
+        self._state = (self._state - (len(draws) - used) * _GOLDEN) & _MASK64
 
 
 def substream(seed: int, *path: object) -> SplitMix64:

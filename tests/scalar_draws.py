@@ -1,8 +1,8 @@
 """Scalar reference draws, one ``SplitMix64.next_u64`` at a time.
 
-The samplers in ``bke`` draw floats a block or a lane at a time; the tests
-check them against these one-draw-at-a-time forms, which are written
-independently of ``bke.rng``'s float helpers.
+The samplers in ``bke`` draw a block or a lane at a time; the tests check
+them against these one-draw-at-a-time forms, which are written
+independently of ``bke.rng``'s float helpers and block reads.
 """
 
 
@@ -14,3 +14,10 @@ def next_float(rng) -> float:
 def uniform(rng, low: float, high: float) -> float:
     """Uniform draw in [low, high)."""
     return low + (high - low) * next_float(rng)
+
+
+def shuffle(rng, seq: list) -> None:
+    """In-place Fisher-Yates, one randbelow per element."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]

@@ -242,6 +242,21 @@ def test_finetune_rejects_checkpoint_with_renamed_param(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_finetune_and_sweep_reject_empty_train_split(tmp_path, capsys):
+    # before, both trained on nothing and wrote the untrained head's metrics
+    prefix = make_dataset(tmp_path)
+    manifest = tmp_path / "ds.split.json"
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, "train": []}))
+    # the checkpoint does not exist: the split is refused before it is read
+    common = ("--data", prefix, "--checkpoint", tmp_path / "missing.bkec", "--epochs", 1)
+    for argv in (("finetune", *common), ("sweep", *common, "--param", "tau", "--values", "2")):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--out", out) == 1
+        assert "split has no train indices" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def make_finetuned(tmp_path, prefix, checkpoint):
     ft_dir = tmp_path / "ft"
     assert run("finetune", "--data", prefix, "--checkpoint", checkpoint,
@@ -545,6 +560,35 @@ def test_sweep_rejects_bad_grid_value(tmp_path, capsys):
     assert run("sweep", "--data", prefix, "--checkpoint", "x", "--out", tmp_path / "s",
                "--param", "omega", "--values", "0.2,oops") == 1
     assert "bad grid value 'oops'" in capsys.readouterr().err
+
+
+# --- one process, many calls ------------------------------------------------------
+
+
+def test_main_called_again_after_failures_matches_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; a parse error or a failed
+    # command must leave nothing behind that changes the next call
+    synth = ("synth", "--out", "ds", "--n-per-class", 6, "--side", 16, "--test-per-class", 2,
+             "--seed", 5)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    with pytest.raises(SystemExit) as exc:
+        run("synth", "--out", "ds", "--no-such-flag")
+    assert exc.value.code == 2
+    assert run("synth", "--out", "ds", "--n-per-class", 2, "--test-per-class", 2) == 1
+    capsys.readouterr()
+    assert run(*synth) == 0
+    out = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-m", "bke.cli", *map(str, synth)], cwd=fresh,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == out
+    names = sorted(p.name for p in here.iterdir())
+    assert names == sorted(p.name for p in fresh.iterdir())
+    assert [(here / n).read_bytes() for n in names] == [(fresh / n).read_bytes() for n in names]
 
 
 # --- gradcheck -----------------------------------------------------------------------

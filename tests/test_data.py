@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bke.data import (
+    _SYNTH_BLOCK,
     ContainerError,
     DatasetContainer,
     SplitSpec,
@@ -332,6 +334,17 @@ def test_batches_reshuffle_across_epochs_deterministically():
     assert a0 != a1
 
 
+def test_batches_and_split_are_pinned():
+    # the orders a per-draw Fisher-Yates gave before shuffles read blocks of draws
+    got = json.dumps(batches(range(600), 32, 4, 3))
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "f7e37cf4378e1810ffe19250a87c8e16d3c7a51c89545657ca774f5c57744726")
+    split = stratified_split(synth_blobs(300, 16, 4).labels, 100, 4)
+    got = json.dumps([split.train_indices, split.test_indices])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "acdac9aac6c53f0266cf8b28f8acb7e4ad1895059da33642a9682ec6fc06a55f")
+
+
 def test_batches_batch_size_one():
     got = batches([3, 1, 2], 1, seed=0, epoch=0)
     assert [len(b) for b in got] == [1, 1, 1]
@@ -369,8 +382,9 @@ def test_synth_blobs_classes_live_in_opposite_corners():
 
 def test_synth_blobs_match_per_pixel_draws():
     # the blob set drawn one uniform call at a time: row jitter, column
-    # jitter, then the noise row-major, per image
-    n_per_class, side, seed = 3, 13, 9
+    # jitter, then the noise row-major, per image; the 2 * n_per_class
+    # images span three blocks, the last one partial
+    n_per_class, side, seed = _SYNTH_BLOCK + 5, 13, 9
     rng = substream(seed, "synth")
     rows, cols = np.arange(side)[:, None], np.arange(side)[None, :]
     want = np.empty((2 * n_per_class, 1, side, side))

@@ -215,3 +215,13 @@ def test_report_json_byte_stable(tmp_path):
     write_report_json(report, tmp_path / "a.json")
     write_report_json(report, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_epoch_csv_bad_row_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = "0,1.0,1.0,1.0,1.0,1.0\n"
+    for row in ("1,0.5,0.5\n", "\n", "1,0.5,0.5,x,0.5,0.5\n", "1.5,0.5,0.5,0.5,0.5,0.5\n"):
+        path.write_text("epoch,sen,spe,hm,auc,acc\n" + good + row)
+        with pytest.raises(MetricError) as exc:
+            read_epoch_csv(path)
+        assert str(exc.value).startswith(f"{path}: line 3: not an epoch row")

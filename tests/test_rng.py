@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bke.rng import SplitMix64, lane_draws, lane_floats, substream, substream_states, uniform
+from bke.rng import (
+    _SHUFFLE_BLOCK,
+    SplitMix64,
+    lane_draws,
+    lane_floats,
+    substream,
+    substream_states,
+    uniform,
+)
 
+import scalar_draws
 from scalar_draws import next_float
 
 
@@ -86,6 +95,18 @@ def test_shuffle_is_a_permutation(seed, items):
     shuffled = list(items)
     SplitMix64(seed).shuffle(shuffled)
     assert sorted(shuffled) == sorted(items)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 600, 5000,
+                               _SHUFFLE_BLOCK - 1, _SHUFFLE_BLOCK, _SHUFFLE_BLOCK + 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_shuffle_equals_per_draw_fisher_yates_and_leaves_same_state(n, seed):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    want, got = list(range(n)), list(range(n))
+    scalar_draws.shuffle(scalar, want)
+    block.shuffle(got)
+    assert got == want
+    assert block.next_u64() == scalar.next_u64()
 
 
 def test_shuffle_actually_moves_things():
