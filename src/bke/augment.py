@@ -9,13 +9,14 @@ pipeline is a pure function of (image, params); randomness lives only in
 
 Each image draws its views from its own SplitMix64 stream, held as one
 uint64 lane state (see :mod:`bke.rng`), and :func:`sample_views` runs the
-lanes of a batch together. A view's draws come in a fixed order: crop
-tries of 2 draws each until one fits (at most ``_MAX_CROP_TRIES``), the
-crop's x and y by rejection (none if no try fit and the full image is
-kept), then the flip, brightness, contrast and blur gate, and the blur
-sigma only when the gate opens. A try's draws sit at a fixed offset in
-the stream, so a chunk of tries, or of rejection candidates, is read and
-tested for every lane at once.
+lanes of a batch together. Every view reads exactly D = 8 draws, so view
+k of a lane reads draws 8k + 1 to 8k + 8, in this order: the crop's
+(w, h), by inverse CDF over a cached per-side table of the sizes that
+meet both crop bounds; the crop's x, then y, as floor(u * (S - w + 1))
+on a side-S source; the flip; brightness; contrast; the blur gate; and
+the blur sigma, drawn always and used only when the gate opens. The
+table weighs each size by its chance under random-resized-crop tries
+repeated until one fits, so no try is ever drawn.
 
 Crop, resize and flip act on each axis as one linear map, so a view is
 ``Wy @ image @ Wx.T``, and the reflect-padded blur is ``B @ view @ B.T``.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .rng import advance_lanes, lane_draws, lane_floats, uniform
+from .rng import lane_floats, uniform
 
 CROP_AREA_RANGE = (0.2, 1.0)
 CROP_RATIO_RANGE = (0.75, 4.0 / 3.0)
@@ -39,12 +40,10 @@ CONTRAST_RANGE = (0.6, 1.4)
 BLUR_SIGMA_RANGE = (0.1, 1.0)
 HFLIP_PROB = 0.5
 BLUR_PROB = 0.5
-_MAX_CROP_TRIES = 100
-# crop tries tested per lane at once, and the draws searched at once for a
-# crop's x and y: each settles nearly every lane the first time (9 in 10
-# first tries fit at side 16)
-_CHUNK = 4
-_WINDOW = 16
+# draws per view: crop size, x, y, flip, brightness, contrast, blur gate, blur sigma
+_VIEW_DRAWS = 8
+# midpoints per cell of the crop table's area sums: within 1e-6 of the exact law
+_TABLE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -75,98 +74,58 @@ class ViewPair:
     v2: np.ndarray
 
 
-def _crop_sizes(states: np.ndarray, side: int, first: int = 0):
-    """Each lane's crop (w, h) from try ``first`` on, the draws its tries
-    used, and whether one fit; a lane none of whose tries fit keeps the
-    full image."""
-    n = len(states)
-    if first >= _MAX_CROP_TRIES:
-        return (np.full(n, side), np.full(n, side), np.full(n, 2 * _MAX_CROP_TRIES),
-                np.zeros(n, dtype=bool))
-    src_area = side * side
-    log_ratio_range = (math.log(CROP_RATIO_RANGE[0]), math.log(CROP_RATIO_RANGE[1]))
-    u = lane_floats(states, 2 * first, 2 * min(_CHUNK, _MAX_CROP_TRIES - first))
-    area = uniform(u[:, 0::2], *CROP_AREA_RANGE) * src_area
-    log_ratio = uniform(u[:, 1::2], *log_ratio_range)
-    # math.exp, not np.exp: they differ by an ulp on some inputs, enough to
-    # move a rounded side
-    ratio = np.fromiter(map(math.exp, log_ratio.ravel().tolist()), np.float64,
-                        log_ratio.size).reshape(log_ratio.shape)
-    cw = np.rint(np.sqrt(area * ratio))
-    ch = np.rint(np.sqrt(area / ratio))
-    frac = cw * ch / src_area
-    aspect = cw / np.maximum(ch, 1.0)
-    fits = ((np.minimum(cw, ch) >= 1) & (np.maximum(cw, ch) <= side)
-            & (frac >= CROP_AREA_RANGE[0]) & (frac <= CROP_AREA_RANGE[1])
+@functools.lru_cache(maxsize=64)
+def _crop_table(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The crop sizes of a side x side source, (k, 2) rows of (w, h) that
+    meet both the area and the aspect-ratio bounds, and their cumulative
+    probabilities, the last exactly 1; both read-only.
+
+    A random-resized-crop try draws area a and ln(ratio) uniformly and
+    rounds (x, y) = (sqrt(a * ratio), sqrt(a / ratio)); before rounding that
+    point is uniform on R = {lo S^2 <= x y <= hi S^2, r0 <= x / y <= r1}
+    (the two ranges above), so the first try that fits lands on a fitting
+    cell (w, h) with probability proportional to the area of R in
+    [w - 1/2, w + 1/2) x [h - 1/2, h + 1/2).
+    Each area is a midpoint sum over x of the cell's y-extent in +, -, *, /
+    and math.fsum only, so the table has the same bits on every IEEE-754
+    machine (np.exp and np.log may differ by an ulp between CPUs)."""
+    area = side * side
+    w, h = np.indices((side, side), dtype=np.int64).reshape(2, -1) + 1
+    frac, aspect = w * h / area, w / h
+    fits = ((frac >= CROP_AREA_RANGE[0]) & (frac <= CROP_AREA_RANGE[1])
             & (aspect >= CROP_RATIO_RANGE[0]) & (aspect <= CROP_RATIO_RANGE[1]))
-    rows = np.arange(n)
-    tries = fits.argmax(axis=1)
-    w, h = cw[rows, tries].astype(np.int64), ch[rows, tries].astype(np.int64)
-    used, fit = 2 * (first + tries + 1), fits[rows, tries]
-    missed = np.flatnonzero(~fit)
-    if missed.size:
-        w[missed], h[missed], used[missed], fit[missed] = _crop_sizes(
-            states[missed], side, first + _CHUNK)
-    return w, h, used, fit
+    sizes = np.column_stack([w[fits], h[fits]])
+    w, h = sizes[:, :1], sizes[:, 1:]
+    x = w - 0.5 + (np.arange(_TABLE_STEPS) + 0.5) / _TABLE_STEPS
+    top = np.minimum(np.minimum(h + 0.5, x / CROP_RATIO_RANGE[0]), CROP_AREA_RANGE[1] * area / x)
+    bottom = np.maximum(np.maximum(h - 0.5, x / CROP_RATIO_RANGE[1]), CROP_AREA_RANGE[0] * area / x)
+    extents = np.maximum(top - bottom, 0.0).tolist()
+    cumulative = np.cumsum([math.fsum(column) for column in extents])
+    cumulative /= cumulative[-1]
+    sizes.setflags(write=False)
+    cumulative.setflags(write=False)
+    return sizes, cumulative
 
 
-def _randbelow(states: np.ndarray, offsets: np.ndarray, bounds: np.ndarray, window: int):
-    """Each lane's SplitMix64.randbelow(bounds[i, j]) for j = 0, 1, ... in
-    turn, from the draw after offsets[i]: the (n, k) values and the offset
-    of each lane's last draw. All k are looked for in the next ``window``
-    draws; a lane that needs more starts again with twice the window."""
-    bounds = bounds.astype(np.uint64)
-    shifts = (64 - np.frexp(bounds)[1]).astype(np.uint64)  # 64 - bit_length
-    draws = lane_draws(states, offsets, window)
-    rows, cols = np.arange(len(states)), np.arange(window)
-    values = np.empty(bounds.shape, dtype=np.int64)
-    taken = np.full(len(states), -1)
-    found = np.ones(len(states), dtype=bool)
-    for j in range(bounds.shape[1]):
-        r = draws >> shifts[:, j, None]
-        ok = (r < bounds[:, j, None]) & (cols > taken[:, None])
-        taken = ok.argmax(axis=1)
-        found &= ok[rows, taken]
-        values[:, j] = r[rows, taken]
-    ends = offsets + taken + 1
-    missed = np.flatnonzero(~found)
-    if missed.size:
-        values[missed], ends[missed] = _randbelow(
-            states[missed], offsets[missed], bounds[missed], 2 * window)
-    return values, ends
-
-
-def _sample_view(states: np.ndarray, side: int):
-    """One view's params per lane (as arrays) and the lane states after it."""
-    w, h, used, fit = _crop_sizes(states, side)
-    origin, ends = _randbelow(states, used, np.stack([side - w + 1, side - h + 1], axis=1), _WINDOW)
-    # a lane none of whose tries fit keeps the full image, so its x and y are
-    # randbelow(1) = 0, but it draws none
-    used = np.where(fit, ends, used)
-    u = lane_floats(states, used, 5)
-    blur = u[:, 3] < BLUR_PROB
-    params = (np.column_stack([origin, w, h]), u[:, 0] < HFLIP_PROB,
-              uniform(u[:, 1], *BRIGHTNESS_RANGE), uniform(u[:, 2], *CONTRAST_RANGE),
-              np.where(blur, uniform(u[:, 4], *BLUR_SIGMA_RANGE), 0.0))
-    return params, advance_lanes(states, used + 4 + blur)
-
-
-def sample_views(states, source_side: int, count: int = 1):
+def sample_views(states, source_side: int, count: int = 1) -> ViewParams:
     """Draw ``count`` views of side ``source_side // 2`` from each lane
-    state, one after another in the lane's stream: the ViewParams of all
-    lanes' first views, then all lanes' second views, and so on; and the
-    lane states after the last. A crop box satisfies both the area and
-    the aspect-ratio bounds exactly, or is the full image."""
+    state, view k from the lane's draws 8k + 1 to 8k + 8: the ViewParams
+    of all lanes' first views, then all lanes' second views, and so on. A
+    crop box satisfies both the area and the aspect-ratio bounds exactly."""
     if source_side < 2:
         raise ValueError(f"bad source side {source_side}")
     states = np.asarray(states, dtype=np.uint64).reshape(-1)
-    drawn = []
-    for _ in range(count):
-        view, states = _sample_view(states, source_side)
-        drawn.append(view)
-    columns = [np.concatenate(column) for column in zip(*drawn)]
-    side = np.full(len(columns[0]), source_side // 2)
-    return ViewParams(*columns, side), states
+    u = lane_floats(states, 0, _VIEW_DRAWS * count)
+    u = u.reshape(-1, count, _VIEW_DRAWS).transpose(2, 1, 0).reshape(_VIEW_DRAWS, -1)
+    sizes, cumulative = _crop_table(source_side)
+    w, h = sizes[np.searchsorted(cumulative, u[0], side="right")].T
+    # u < 1, so u * n < n for every n < 2^53 and astype's truncation is the floor
+    x = (u[1] * (source_side - w + 1)).astype(np.int64)
+    y = (u[2] * (source_side - h + 1)).astype(np.int64)
+    return ViewParams(np.column_stack([x, y, w, h]), u[3] < HFLIP_PROB,
+                      uniform(u[4], *BRIGHTNESS_RANGE), uniform(u[5], *CONTRAST_RANGE),
+                      np.where(u[6] < BLUR_PROB, uniform(u[7], *BLUR_SIGMA_RANGE), 0.0),
+                      np.full(len(w), source_side // 2))
 
 
 def _gaussian_kernels(sigmas) -> np.ndarray:
@@ -256,6 +215,6 @@ def make_view_pair(images: np.ndarray, states) -> ViewPair:
     arr = np.asarray(images, dtype=np.float64)
     if len(states) != len(arr):
         raise ValueError("need exactly one view RNG per image")
-    params, _ = sample_views(states, arr.shape[-1], count=2)
+    params = sample_views(states, arr.shape[-1], count=2)
     views = apply(np.concatenate([arr, arr]), params)
     return ViewPair(v1=views[: len(arr)], v2=views[len(arr) :])

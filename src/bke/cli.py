@@ -52,7 +52,8 @@ from .ensemble import (
 from .metrics import write_epoch_csv, write_report_json
 from .models import load_checkpoint, save_checkpoint
 from .rng import substream
-from .selfsup import SslConfig, cross_model_loss, cross_view_loss, pretrain, write_loss_csv
+from .selfsup import (CollapseError, SslConfig, cross_model_loss, cross_view_loss, pretrain,
+                      write_loss_csv)
 from .textio import read_float_matrix, write_csv, write_float_matrix, write_json
 
 DEFAULT_GRIDS: dict[str, list] = {
@@ -361,7 +362,10 @@ def _cmd_sweep(cfg: dict) -> int:
     container, split = _finetune_data(cfg)
     rows = []
     for value, config in zip(grid, configs):
-        _, _, report = finetune(container, split, cfg["checkpoint"], config)
+        try:
+            _, _, report = finetune(container, split, cfg["checkpoint"], config)
+        except CollapseError as exc:
+            raise CollapseError(f"{cfg['param']}={value}: {exc}") from exc
         rows.append((cfg["param"], value, report.means["hm"], report.means["acc"]))
         print(f"{cfg['param']}={value}: hm {rows[-1][2]:.4f}, acc {rows[-1][3]:.4f}")
     out_dir = Path(cfg["out"])

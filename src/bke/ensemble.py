@@ -295,7 +295,11 @@ def finetune(
             head_grads = {name: grads[leaf.node_id].data for name, leaf in head.items()}
             bundle.online_encoder = optimizer.step(bundle.online_encoder, enc_grads, prefix="enc/")
             bundle.classifier = optimizer.step(bundle.classifier, head_grads, prefix="head/")
-        scores = evaluate_classifier(bundle, test_images, test_labels, config.positive_class)
+        try:
+            scores = evaluate_classifier(bundle, test_images, test_labels, config.positive_class)
+        except FloatingPointError as exc:
+            raise CollapseError(
+                f"finetune failed at epoch {epoch}, evaluating the test split: {exc}") from exc
         history.append(EpochMetrics(epoch=epoch, **scores))
 
     report = MetricsReport.from_history(history)

@@ -166,7 +166,3 @@ def uniform(u, low: float, high: float):
     """Each draw u in [0, 1) mapped onto [low, high)."""
     return low + (high - low) * u
 
-
-def advance_lanes(states: np.ndarray, counts) -> np.ndarray:
-    """The states of the lanes after counts[i] draws of lane i."""
-    return states + np.asarray(counts).astype(np.uint64) * _U_GOLDEN

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from bke.augment import (
     make_view_pair,
     sample_views,
 )
-from bke.rng import SplitMix64, substream_states
+from bke.rng import SplitMix64, lane_floats, substream_states
 
 from scalar_draws import next_float, uniform
 
@@ -65,7 +66,7 @@ def unstack(params: ViewParams) -> list[TransformParams]:
 
 def sample_one(seed: int, side: int) -> TransformParams:
     """One view drawn by the lane sampler from the stream of SplitMix64(seed)."""
-    return unstack(sample_views([seed], side)[0])[0]
+    return unstack(sample_views([seed], side))[0]
 
 
 def unit_image(side=16, seed=0):
@@ -82,33 +83,39 @@ def view(image, p):
 
 
 def sample_params(rng: SplitMix64, source_side: int) -> TransformParams:
-    """Draw transform parameters for a view of side ``source_side // 2``;
-    the integer crop box is rejection-sampled until it satisfies both the
-    area and the aspect-ratio bounds exactly."""
-    src_area = source_side * source_side
-    box = (0, 0, source_side, source_side)
-    log_lo, log_hi = math.log(CROP_RATIO_RANGE[0]), math.log(CROP_RATIO_RANGE[1])
-    for _ in range(augment._MAX_CROP_TRIES):
-        area = uniform(rng, *CROP_AREA_RANGE) * src_area
-        ratio = math.exp(uniform(rng, log_lo, log_hi))
-        w = int(round(math.sqrt(area * ratio)))
-        h = int(round(math.sqrt(area / ratio)))
-        if not (1 <= w <= source_side and 1 <= h <= source_side):
-            continue
-        if not CROP_AREA_RANGE[0] <= (w * h) / src_area <= CROP_AREA_RANGE[1]:
-            continue
-        if not CROP_RATIO_RANGE[0] <= w / h <= CROP_RATIO_RANGE[1]:
-            continue
-        x = rng.randbelow(source_side - w + 1)
-        y = rng.randbelow(source_side - h + 1)
-        box = (x, y, w, h)
-        break
-
+    """Draw transform parameters for a view of side ``source_side // 2``
+    from exactly 8 draws: the crop's (w, h) by inverse CDF over the crop
+    table, its x and y, then the flip, brightness, contrast, blur gate and
+    blur sigma, which is drawn whether or not the gate opens."""
+    sizes, cumulative = augment._crop_table(source_side)
+    w, h = (int(v) for v in sizes[bisect.bisect_right(cumulative, next_float(rng))])
+    x = int(next_float(rng) * (source_side - w + 1))
+    y = int(next_float(rng) * (source_side - h + 1))
     hflip = next_float(rng) < HFLIP_PROB
     brightness = uniform(rng, *BRIGHTNESS_RANGE)
     contrast = uniform(rng, *CONTRAST_RANGE)
-    sigma = uniform(rng, *BLUR_SIGMA_RANGE) if next_float(rng) < BLUR_PROB else 0.0
-    return TransformParams(box, hflip, brightness, contrast, sigma, source_side // 2)
+    blur = next_float(rng) < BLUR_PROB
+    sigma = uniform(rng, *BLUR_SIGMA_RANGE)
+    return TransformParams((x, y, w, h), hflip, brightness, contrast, sigma if blur else 0.0,
+                           source_side // 2)
+
+
+def rejection_crop_sizes(states, side: int, tries: int = 32):
+    """Each lane's crop (w, h) as the sampler drew it before the crop table:
+    tries of 2 draws, area and ln(ratio) uniform, rounded to a box, until
+    one meets both bounds. Every lane must fit within ``tries``."""
+    u = lane_floats(states, 0, 2 * tries)
+    area = (CROP_AREA_RANGE[0] + (CROP_AREA_RANGE[1] - CROP_AREA_RANGE[0]) * u[:, 0::2]) * side**2
+    log_lo, log_hi = np.log(CROP_RATIO_RANGE)
+    ratio = np.exp(log_lo + (log_hi - log_lo) * u[:, 1::2])
+    cw, ch = np.rint(np.sqrt(area * ratio)), np.rint(np.sqrt(area / ratio))
+    frac, aspect = cw * ch / side**2, cw / np.maximum(ch, 1.0)
+    fits = ((np.minimum(cw, ch) >= 1) & (np.maximum(cw, ch) <= side)
+            & (frac >= CROP_AREA_RANGE[0]) & (frac <= CROP_AREA_RANGE[1])
+            & (aspect >= CROP_RATIO_RANGE[0]) & (aspect <= CROP_RATIO_RANGE[1]))
+    assert fits.any(axis=1).all()
+    rows, first = np.arange(len(u)), fits.argmax(axis=1)
+    return cw[rows, first].astype(np.int64), ch[rows, first].astype(np.int64)
 
 
 # --- the per-image reference: crop, resize, flip, jitter, clip, blur, clip ---
@@ -188,7 +195,7 @@ def test_batched_views_match_reference(side):
 def test_sampled_views_match_reference():
     images = np.stack([unit_image(16, seed=i) for i in range(50)])
     states = substream_states(range(len(images)), 11, "augment", 0)
-    params = unstack(sample_views(states, 16)[0])
+    params = unstack(sample_views(states, 16))
     out = apply(images, stack(params))
     for got, img, p in zip(out, images, params):
         np.testing.assert_allclose(got, reference_view(img, p), rtol=0, atol=1e-12)
@@ -227,7 +234,7 @@ def test_crop_box_respects_contracts(seed, side):
 
 
 def test_hflip_and_blur_frequencies():
-    params = unstack(sample_views(substream_states(range(10_000), 123, "views"), 16)[0])
+    params = unstack(sample_views(substream_states(range(10_000), 123, "views"), 16))
     hflip_rate = sum(p.hflip for p in params) / len(params)
     blur_rate = sum(p.blur_sigma > 0 for p in params) / len(params)
     assert abs(hflip_rate - HFLIP_PROB) < 0.02
@@ -336,7 +343,7 @@ def test_view_pair_bytes_are_pinned():
     images = (np.arange(6 * 16 * 16) % 251 / 250.0).reshape(6, 1, 16, 16)
     pair = make_view_pair(images, substream_states(range(6), 11, "augment", 0))
     assert hashlib.sha256(pair.v1.tobytes() + pair.v2.tobytes()).hexdigest() == (
-        "823916405791dd0ced60c8fa228b142de97ead0d70bf5fc687657a4bf16eb34e")
+        "b2c172ae338067b3c48fbce7af3e72080d3f162e1a0fe9764099b30500550a66")
 
 
 def test_make_view_pair_rejects_rng_count_mismatch():
@@ -347,19 +354,14 @@ def test_make_view_pair_rejects_rng_count_mismatch():
 
 # what each image's RNG gave for (v1, v2) when views were built one image at a time
 PER_IMAGE_DRAWS = [
-    (TransformParams((3, 1, 10, 13), False, -0.17686670234354845, 1.2582033958146142,
-                     0.39218786615004453, 8),
-     TransformParams((0, 0, 16, 16), False, 0.17438619570454905, 1.295081629441929,
-                     0.2029569619734947, 8)),
-    (TransformParams((0, 0, 13, 13), False, -0.28679280843593946, 1.1202963901653087, 0.0, 8),
-     TransformParams((1, 1, 15, 15), True, 0.35923652063423794, 0.7937495297746424,
-                     0.6710747382096042, 8)),
-    (TransformParams((3, 2, 11, 13), False, 0.2311990908700302, 0.6167019970558586,
-                     0.6399153908713823, 8),
-     TransformParams((3, 1, 12, 12), True, 0.15846498685082122, 1.2493935105212426, 0.0, 8)),
+    (TransformParams((0, 1, 11, 14), True, 0.31740411982083794, 0.8231332976564515, 0.0, 8),
+     TransformParams((5, 4, 11, 9), True, 0.28739098250951467, 1.1581750101423751,
+                     0.9140008239061853, 8)),
+    (TransformParams((2, 2, 13, 13), False, -0.3379366425272739, 1.1944593690960494, 0.0, 8),
+     TransformParams((0, 2, 15, 13), False, 0.25376958863207777, 0.9572861011130662, 0.0, 8)),
+    (TransformParams((1, 3, 12, 9), False, 0.04289913378918503, 1.0758991516887455, 0.0, 8),
+     TransformParams((3, 0, 13, 13), True, 0.07992479188567314, 0.9362805527201085, 0.0, 8)),
 ]
-# the next draw of each image's RNG after both views
-NEXT_U64 = [16144220957167650377, 9205274119778336137, 13669739562511874198]
 
 
 def test_make_view_pair_keeps_per_image_draw_sequence(monkeypatch):
@@ -371,12 +373,16 @@ def test_make_view_pair_keeps_per_image_draw_sequence(monkeypatch):
 
     monkeypatch.setattr(augment, "sample_views", recording)
     images = np.stack([unit_image(16, seed=i) for i in range(3)])
-    pair = make_view_pair(images, substream_states(range(3), 5, "augment", 0))
-    [(params, after)] = calls
+    states = substream_states(range(3), 5, "augment", 0)
+    pair = make_view_pair(images, states)
+    [params] = calls
     drawn = unstack(params)
+    # the second view starts at draw 9 of its lane, so a stream 8 draws on
+    # gives it as its first view
+    later = [(int(s) + 8 * 0x9E3779B97F4A7C15) % 2**64 for s in states]
+    assert unstack(sample_views(later, 16)) == drawn[3:]
     for i in range(3):
         assert [drawn[i], drawn[3 + i]] == list(PER_IMAGE_DRAWS[i])
-        assert SplitMix64(int(after[i])).next_u64() == NEXT_U64[i]
         p1, p2 = PER_IMAGE_DRAWS[i]
         np.testing.assert_allclose(pair.v1[i], reference_view(images[i], p1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair.v2[i], reference_view(images[i], p2), rtol=0, atol=1e-12)
@@ -384,20 +390,12 @@ def test_make_view_pair_keeps_per_image_draw_sequence(monkeypatch):
 
 # --- the lane sampler against the scalar reference ---
 
-_INVERSE_STEP = pow(0x9E3779B97F4A7C15, -1, 2**64)
-
-
-def draws_between(start: int, end: int) -> int:
-    """How many draws take a SplitMix64 stream from state start to state end."""
-    return (end - start) * _INVERSE_STEP % 2**64
-
 
 def reference_lanes(states, side, count):
-    """sample_views by the scalar reference: the views in the same order, and
-    the lane states after them."""
+    """sample_views by the scalar reference: the views in the same order."""
     rngs = [SplitMix64(int(s)) for s in states]
     views = [[sample_params(rng, side) for rng in rngs] for _ in range(count)]
-    return [p for per_view in views for p in per_view], [rng._state for rng in rngs]
+    return [p for per_view in views for p in per_view]
 
 
 def test_lane_sampler_matches_scalar_reference_bit_for_bit():
@@ -409,47 +407,50 @@ def test_lane_sampler_matches_scalar_reference_bit_for_bit():
         for n in list(range(1, 65)) * 10:
             states = gen.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
             count = 2 if n % 16 == 0 else 1
-            params, after = sample_views(states, side, count)
-            want, want_after = reference_lanes(states, side, count)
-            assert unstack(params) == want, (side, n)
-            assert [int(s) for s in after] == want_after
+            params = sample_views(states, side, count)
+            assert unstack(params) == reference_lanes(states, side, count), (side, n)
             lanes += n
     assert lanes >= 100_000
 
 
-@pytest.mark.parametrize("window,chunk", [(1, 1), (2, 3), (3, 8), (16, 2), (5, 5)])
-def test_lane_sampler_matches_reference_for_any_window_and_chunk(monkeypatch, window, chunk):
-    # small windows and chunks send lanes down the paths the default sizes
-    # almost never take: crop tries beyond the first chunk, and an x and y
-    # that need more draws than the first window holds
-    monkeypatch.setattr(augment, "_WINDOW", window)
-    monkeypatch.setattr(augment, "_CHUNK", chunk)
-    gen = np.random.default_rng(window * 100 + chunk)
-    for side in (2, 3, 16):
-        states = gen.integers(0, 2**64, size=300, dtype=np.uint64)
-        params, after = sample_views(states, side, 2)
-        want, want_after = reference_lanes(states, side, 2)
-        assert unstack(params) == want
-        assert [int(s) for s in after] == want_after
+# --- the crop table against the rejection sampler it replaces ---
+
+# side: (degrees of freedom, the 0.999 quantile of chi^2 on them rounded
+# down), for the 15, 55 and 111 crop sizes of sides 8, 16 and 23
+CHI2_999 = {8: (14, 36.12), 16: (54, 91.87), 23: (110, 161.58)}
 
 
-def test_exhausted_crop_tries_keep_full_box_and_draw_no_origin(monkeypatch):
-    # with one try, many lanes find no crop: they keep the whole image and go
-    # straight on to the flip, so their view uses 2 + 4 draws (+1 with blur)
-    monkeypatch.setattr(augment, "_MAX_CROP_TRIES", 1)
-    exhausted = 0
-    for side in (2, 3, 5, 16):
-        states = substream_states(range(200), 8, "exhausted", side)
-        params, after = sample_views(states, side, 2)
-        want, want_after = reference_lanes(states, side, 2)
-        assert unstack(params) == want
-        assert [int(s) for s in after] == want_after
-        first, mid = sample_views(states, side)
-        for start, end, p in zip(states, mid, unstack(first)):
-            if draws_between(int(start), int(end)) == 6 + (p.blur_sigma > 0.0):
-                assert p.crop_box == (0, 0, side, side)
-                exhausted += 1
-    assert exhausted > 0
+def chi2_against_table(w, h, side):
+    """Pearson's chi^2 of the drawn crop sizes against the table's law; a
+    size the table does not hold raises KeyError."""
+    sizes, cumulative = augment._crop_table(side)
+    index = {(a, b): i for i, (a, b) in enumerate(sizes.tolist())}
+    counts = np.bincount([index[wh] for wh in zip(w.tolist(), h.tolist())],
+                         minlength=len(sizes))
+    expected = len(w) * np.diff(cumulative, prepend=0.0)
+    return float(np.sum((counts - expected) ** 2 / expected))
+
+
+@pytest.mark.parametrize("side", sorted(CHI2_999))
+def test_crop_table_holds_the_rejection_samplers_law(side):
+    # the bound was set before the test first ran: the chi^2 of 10^5 crops
+    # from each sampler against the table falls below the 0.999 quantile
+    df, bound = CHI2_999[side]
+    assert len(augment._crop_table(side)[0]) == df + 1
+    old = rejection_crop_sizes(substream_states(range(100_000), 21, "rejection", side), side)
+    assert chi2_against_table(*old, side) < bound
+    new = sample_views(substream_states(range(100_000), 21, "table", side), side).crop_box
+    assert chi2_against_table(new[:, 2], new[:, 3], side) < bound
+
+
+def test_crop_table_bytes_are_pinned():
+    # a changed weight, or a sum that rounds differently on another CPU, moves every later view
+    digests = {side: hashlib.sha256(b"".join(a.tobytes() for a in augment._crop_table(side)))
+               .hexdigest() for side in (2, 16, 33)}
+    assert digests == {
+        2: "536d7a36d1780559d16808a20c791e337b8c19c16058d28080fdb80a32ddfc36",
+        16: "46408f2c925ee2b76021dab1c4bbc5282a457d6eb7f3b0863d550c7e14f365bd",
+        33: "5ef5c8907d693a421c28b7f4e13aa8bbb141a8c7e0d5d9930518521fec93d218"}
 
 
 def test_permuting_a_batch_permutes_its_views():
@@ -460,10 +461,9 @@ def test_permuting_a_batch_permutes_its_views():
     permuted = make_view_pair(images[order], states[order])
     np.testing.assert_array_equal(permuted.v1, pair.v1[order])
     np.testing.assert_array_equal(permuted.v2, pair.v2[order])
-    params, after = sample_views(states, 16, 2)
-    p_params, p_after = sample_views(states[order], 16, 2)
-    assert unstack(p_params) == [unstack(params)[k * 9 + i] for k in range(2) for i in order]
-    np.testing.assert_array_equal(p_after, after[order])
+    params = unstack(sample_views(states, 16, 2))
+    p_params = unstack(sample_views(states[order], 16, 2))
+    assert p_params == [params[k * 9 + i] for k in range(2) for i in order]
 
 
 def test_view_params_reject_ragged_fields():

@@ -551,6 +551,27 @@ def test_sweep_rejects_out_of_range_grid_value_before_training(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["finetune", "sweep"])
+def test_blow_up_in_epoch_evaluation_names_the_epoch_and_grid_point(tmp_path, capsys, command):
+    prefix = tmp_path / "ds"
+    assert run("synth", "--out", prefix, "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 1) == 0
+    pre = tmp_path / "pre"
+    assert run("pretrain", "--data", prefix, "--out", pre, "--epochs", 1, "--batch-size", 16,
+               "--seed", 1) == 0
+    sweep = command == "sweep"
+    grid = ("--param", "lambda", "--values", "1,1e300") if sweep else ("--lambda", "1e300")
+    out = tmp_path / "out"
+    # numpy warns of the overflow before conv2d's own check raises
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(command, "--data", prefix, "--checkpoint", pre / "checkpoint.bkec",
+                   "--out", out, "--epochs", 1, *grid) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {'lambda=1e+300: ' if sweep else ''}finetune failed at epoch 0, "
+        "evaluating the test split: conv2d produced non-finite values")
+    assert not out.exists()
+
+
 def test_sweep_default_grids_have_expected_sizes():
     assert [len(DEFAULT_GRIDS[p]) for p in ("omega", "batch_size", "tau", "lambda")] == [5, 5, 4, 4]
 
