@@ -269,7 +269,7 @@ def _cmd_synth(cfg: dict) -> int:
 def _cmd_pretrain(cfg: dict) -> int:
     ssl_cfg = _config(SslConfig, cfg)
     container, split = _load_dataset(cfg["data"])
-    images = container.images[list(split.train_indices)]
+    images = container.images_at(list(split.train_indices))
     bundle, history = pretrain(images, ssl_cfg)
     out_dir = Path(cfg["out"])
     save_checkpoint(bundle, out_dir / "checkpoint.bkec")
@@ -311,9 +311,7 @@ def _cmd_eval(cfg: dict) -> int:
         indices = list(range(len(container)))
     if not indices:
         raise ConfigError(f"subset {cfg['subset']!r} of {cfg['data']} is empty")
-    scores = evaluate_classifier(
-        bundle, container.images[indices], container.labels[indices], cfg["positive_class"]
-    )
+    scores = evaluate_classifier(bundle, container, indices, cfg["positive_class"])
     out_dir = Path(cfg["out"])
     write_json(out_dir / "eval.json", scores)
     _echo_config("eval", cfg, out_dir / "config.json")
@@ -454,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = build_config(args.command, args)
-        return _DISPATCH[args.command](cfg)
+        # a blow-up is reported once, by the finite check that raises, not by numpy warnings too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _DISPATCH[args.command](cfg)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,11 @@ On-disk layout (little-endian throughout):
   maps to the float ``p/255``.
 * labels  ``<prefix>.bkel`` — magic ``BKEL``, u32 version=1, u32 count,
   count u8 labels.
-* split manifest ``<prefix>.split.json`` — ``{seed, fraction, train, test}``.
+* split manifest ``<prefix>.split.json`` — ``{train, test}``.
+
+In memory a container holds the u8 pixels as the file does, one byte per
+pixel. ``images_at`` gives the float64 images of the indices it is asked
+for, so a command converts the batches it uses, never the whole set.
 """
 
 from __future__ import annotations
@@ -38,26 +42,39 @@ class ContainerError(ValueError):
 
 @dataclass
 class DatasetContainer:
-    """images: (N, 1, H, W) float64 in [0,1], quantized to 1/255 steps;
-    labels: (N,) ints in [0, 256), what the u8 label file holds."""
+    """pixels: (N, 1, H, W) uint8, what the image file holds; pixel ``p``
+    is the float ``p/255``. labels: (N,) ints in [0, 256), what the u8
+    label file holds."""
 
-    images: np.ndarray
+    pixels: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.images.ndim != 4 or self.images.shape[1] != 1:
-            raise ContainerError(f"images must be (N, 1, H, W), got {self.images.shape}")
-        if self.images.shape[2] != self.images.shape[3]:
-            raise ContainerError(f"images must be square, got H x W = {self.images.shape[2:]}")
-        if len(self.images) != len(self.labels):
+        # a float array here would be divided by 255 a second time
+        if self.pixels.dtype != np.uint8:
+            raise ContainerError(f"pixels must be uint8, got {self.pixels.dtype}")
+        if self.pixels.ndim != 4 or self.pixels.shape[1] != 1:
+            raise ContainerError(f"images must be (N, 1, H, W), got {self.pixels.shape}")
+        if self.pixels.shape[2] != self.pixels.shape[3]:
+            raise ContainerError(f"images must be square, got H x W = {self.pixels.shape[2:]}")
+        if len(self.pixels) != len(self.labels):
             raise ContainerError(
-                f"count mismatch: {len(self.images)} images vs {len(self.labels)} labels"
+                f"count mismatch: {len(self.pixels)} images vs {len(self.labels)} labels"
             )
         if not (0 <= self.labels.min(initial=0) and self.labels.max(initial=0) < 256):
             raise ContainerError("labels out of range [0, 256)")
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def images_at(self, indices) -> np.ndarray:
+        """The float64 images at a list or array of indices, in [0, 1]."""
+        return self.pixels[indices] / 255.0
+
+    @property
+    def images(self) -> np.ndarray:
+        """Every image as float64: eight bytes a pixel, so no command reads it."""
+        return self.pixels / 255.0
 
     @property
     def n_classes(self) -> int:
@@ -85,10 +102,9 @@ def split_path(prefix) -> Path:
 
 
 def write_container(container: DatasetContainer, prefix) -> None:
-    pixels = _quantize(container.images)
-    n, _, h, w = container.images.shape
+    n, _, h, w = container.pixels.shape
     header = IMAGES_MAGIC + struct.pack("<IIII", CONTAINER_VERSION, n, h, w)
-    write_artifact(images_path(prefix), header + pixels.tobytes())
+    write_artifact(images_path(prefix), header + container.pixels.tobytes())
     header = LABELS_MAGIC + struct.pack("<II", CONTAINER_VERSION, n)
     write_artifact(labels_path(prefix), header + container.labels.astype(np.uint8).tobytes())
 
@@ -113,7 +129,7 @@ def read_container(prefix) -> DatasetContainer:
         raw = _read_exact(fh, count * h * w, "images payload")
         if fh.read(1):
             raise ContainerError(f"{ipath}: trailing bytes")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, h, w) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, h, w)
 
     with open(lpath, "rb") as fh:
         if _read_exact(fh, 4, "labels header") != LABELS_MAGIC:
@@ -129,7 +145,7 @@ def read_container(prefix) -> DatasetContainer:
         if fh.read(1):
             raise ContainerError(f"{lpath}: trailing bytes")
 
-    return DatasetContainer(images=images, labels=labels.astype(np.int64))
+    return DatasetContainer(pixels=pixels, labels=labels.astype(np.int64))
 
 
 # --- splits and batching ----------------------------------------------------
@@ -137,10 +153,13 @@ def read_container(prefix) -> DatasetContainer:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """Disjoint train and test indices. ``fraction`` and ``seed`` may say how
+    a caller drew them; nothing reads them, and the manifest does not hold them."""
+
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    fraction: float
-    seed: int
+    fraction: float = 1.0
+    seed: int = 0
 
     def __post_init__(self) -> None:
         overlap = set(self.train_indices) & set(self.test_indices)
@@ -188,21 +207,11 @@ def stratified_split(labels: np.ndarray, test_per_class: int, seed: int) -> Spli
             )
         test.extend(pool[:test_per_class])
         train.extend(pool[test_per_class:])
-    return SplitSpec(
-        train_indices=tuple(sorted(train)),
-        test_indices=tuple(sorted(test)),
-        fraction=1.0,
-        seed=seed,
-    )
+    return SplitSpec(train_indices=tuple(sorted(train)), test_indices=tuple(sorted(test)))
 
 
 def write_split(split: SplitSpec, path) -> None:
-    doc = {
-        "seed": split.seed,
-        "fraction": split.fraction,
-        "train": list(split.train_indices),
-        "test": list(split.test_indices),
-    }
+    doc = {"train": list(split.train_indices), "test": list(split.test_indices)}
     write_artifact(path, json.dumps(doc) + "\n")
 
 
@@ -216,14 +225,13 @@ def _indices(doc: dict, key: str) -> tuple[int, ...]:
 
 
 def read_split(path) -> SplitSpec:
+    """The train and test indices; other keys, such as an old manifest's seed, are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return SplitSpec(
             train_indices=_indices(doc, "train"),
             test_indices=_indices(doc, "test"),
-            fraction=float(doc["fraction"]),
-            seed=int(doc["seed"]),
         )
     except KeyError as exc:
         raise ContainerError(f"split manifest {path} missing key {exc}") from None
@@ -271,7 +279,7 @@ def synth_blobs(n_per_class: int, side: int, seed: int) -> DatasetContainer:
 
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
     centers = (np.array(_BLOB_CENTERS) * side)[labels, None, None]
-    images = np.empty((len(labels), 1, side, side))
+    pixels = np.empty((len(labels), 1, side, side), dtype=np.uint8)
     for start in range(0, len(labels), _SYNTH_BLOCK):
         stop = min(start + _SYNTH_BLOCK, len(labels))
         # per image, in stream order: the row and column jitter, then the noise row-major
@@ -280,6 +288,5 @@ def synth_blobs(n_per_class: int, side: int, seed: int) -> DatasetContainer:
         cx = centers[start:stop] + uniform(u[:, 1, None, None], -jitter, jitter)
         blob = _BLOB_AMPLITUDE * np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * sigma**2))
         noise = _NOISE_MAX * u[:, 2:].reshape(-1, side, side)
-        images[start:stop, 0] = np.clip(blob + noise, 0.0, 1.0)
-    images = _quantize(images) / 255.0
-    return DatasetContainer(images=images, labels=labels)
+        pixels[start:stop, 0] = _quantize(np.clip(blob + noise, 0.0, 1.0))
+    return DatasetContainer(pixels=pixels, labels=labels)

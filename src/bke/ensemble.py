@@ -213,25 +213,30 @@ def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, la
 
 def evaluate_classifier(
     bundle: ModelBundle,
-    images: np.ndarray,
-    labels: np.ndarray,
+    container: DatasetContainer,
+    indices,
     positive_class: int,
     batch_size: int = 64,
 ) -> dict[str, float]:
-    """Sen/Spe/HM/AUC (one-vs-rest) and multi-class Acc on a labeled set."""
+    """Sen/Spe/HM/AUC (one-vs-rest) and multi-class Acc on the images of
+    ``container`` at ``indices``, scored batch_size at a time; only the
+    chunk being scored is converted to floats."""
     if bundle.classifier is None:
         raise ValueError("bundle has no classifier head")
+    indices = list(indices)
+    labels = container.labels[indices]
     spec = bundle.specs.encoder
     chunks = []
-    for start in range(0, len(images), batch_size):
-        feats = encode(bundle.online_encoder, spec, images[start : start + batch_size])
+    for start in range(0, len(indices), batch_size):
+        images = container.images_at(indices[start : start + batch_size])
+        feats = encode(bundle.online_encoder, spec, images)
         chunks.append(mlp_forward(bundle.classifier, feats).data)
     logits = np.concatenate(chunks)
     cm = confusion(logits.argmax(axis=1), labels, bundle.specs.classifier.out_dim)
     # sen_spe_hm_acc range-checks positive_class, so it runs before the column index below
     sen, spe, hm, acc = sen_spe_hm_acc(cm, positive_class)
     scores = T.softmax_rows(logits, 1.0).data[:, positive_class]
-    binary = (np.asarray(labels) == positive_class).astype(np.int64)
+    binary = (labels == positive_class).astype(np.int64)
     return {"sen": sen, "spe": spe, "hm": hm, "auc": auc(scores, binary), "acc": acc}
 
 
@@ -253,7 +258,6 @@ def finetune(
     if config.positive_class >= container.n_classes:
         raise MetricError(f"positive_class {config.positive_class} out of range "
                           f"[0, {container.n_classes})")
-    test_images = container.images[list(split.test_indices)]
     test_labels = container.labels[list(split.test_indices)]
     n_pos = int((test_labels == config.positive_class).sum())
     if n_pos in (0, len(test_labels)):
@@ -269,7 +273,7 @@ def finetune(
     history: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         for batch in batches(train_idx, config.batch_size, config.seed, epoch):
-            images = container.images[batch]
+            images = container.images_at(batch)
             labels = container.labels[batch]
             try:
                 with T.Tape() as tape:
@@ -296,7 +300,8 @@ def finetune(
             bundle.online_encoder = optimizer.step(bundle.online_encoder, enc_grads, prefix="enc/")
             bundle.classifier = optimizer.step(bundle.classifier, head_grads, prefix="head/")
         try:
-            scores = evaluate_classifier(bundle, test_images, test_labels, config.positive_class)
+            scores = evaluate_classifier(bundle, container, split.test_indices,
+                                         config.positive_class)
         except FloatingPointError as exc:
             raise CollapseError(
                 f"finetune failed at epoch {epoch}, evaluating the test split: {exc}") from exc

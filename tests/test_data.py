@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import struct
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bke
 from bke.data import (
     _SYNTH_BLOCK,
     ContainerError,
@@ -35,9 +37,13 @@ from scalar_draws import uniform
 
 def small_container(n=6, side=8, seed=0):
     rng = np.random.default_rng(seed)
-    images = np.rint(rng.uniform(size=(n, 1, side, side)) * 255) / 255.0
+    pixels = rng.integers(0, 256, size=(n, 1, side, side), dtype=np.uint8)
     labels = np.arange(n, dtype=np.int64) % 2
-    return DatasetContainer(images=images, labels=labels)
+    return DatasetContainer(pixels=pixels, labels=labels)
+
+
+def u8(*shape):
+    return np.zeros(shape, dtype=np.uint8)
 
 
 # --- container IO -----------------------------------------------------------
@@ -48,9 +54,19 @@ def test_round_trip_preserves_pixels_and_labels(tmp_path):
     prefix = tmp_path / "set"
     write_container(container, prefix)
     back = read_container(prefix)
-    np.testing.assert_array_equal(back.images, container.images)
+    assert back.pixels.dtype == np.uint8 and back.pixels.nbytes == 6 * 8 * 8
+    np.testing.assert_array_equal(back.pixels, container.pixels)
     np.testing.assert_array_equal(back.labels, container.labels)
     assert back.n_classes == container.n_classes == 2
+
+
+def test_images_at_is_the_pixels_over_255():
+    container = small_container(n=7)
+    order = [6, 0, 3, 3]
+    got = container.images_at(order)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, container.pixels[order] / 255.0)
+    np.testing.assert_array_equal(got, container.images[order])
 
 
 def test_file_sizes_match_layout(tmp_path):
@@ -158,41 +174,44 @@ def test_corrupt_split_raises_only_container_error(blob):
 
 def test_container_validation():
     with pytest.raises(ContainerError, match=r"\(N, 1, H, W\)"):
-        DatasetContainer(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=np.int64))
+        DatasetContainer(u8(2, 3, 4, 4), np.zeros(2, dtype=np.int64))
     with pytest.raises(ContainerError, match="count mismatch"):
-        DatasetContainer(np.zeros((2, 1, 4, 4)), np.zeros(3, dtype=np.int64))
+        DatasetContainer(u8(2, 1, 4, 4), np.zeros(3, dtype=np.int64))
     # the u8 label file holds [0, 256); a label past it would wrap on write
     for bad in (256, -1):
         with pytest.raises(ContainerError, match=r"out of range \[0, 256\)"):
-            DatasetContainer(np.zeros((2, 1, 4, 4)), np.array([0, bad]))
-    with pytest.raises(ContainerError, match=r"\[0, 1\]"):
-        write_container(
-            DatasetContainer(np.full((1, 1, 4, 4), 1.5), np.zeros(1, dtype=np.int64)),
-            "/tmp/never-written",
-        )
+            DatasetContainer(u8(2, 1, 4, 4), np.array([0, bad]))
 
 
 def test_non_square_container_neither_written_nor_read(tmp_path):
     # the encoder and the view sampler take one side; a 16x12 image would be
     # cropped to its top 12x12 square without a word
     with pytest.raises(ContainerError, match="square"):
-        DatasetContainer(np.zeros((2, 1, 16, 12)), np.zeros(2, dtype=np.int64))
+        DatasetContainer(u8(2, 1, 16, 12), np.zeros(2, dtype=np.int64))
     prefix = tmp_path / "wide"
-    write_container(DatasetContainer(np.zeros((2, 1, 16, 16)), np.array([0, 1])), prefix)
+    write_container(DatasetContainer(u8(2, 1, 16, 16), np.array([0, 1])), prefix)
     header = b"BKEI" + struct.pack("<IIII", 1, 2, 16, 12)
     images_path(prefix).write_bytes(header + bytes(2 * 16 * 12))
     with pytest.raises(ContainerError, match="square"):
         read_container(prefix)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_write_rejects_nonfinite_pixel(tmp_path, bad):
-    container = small_container()
-    container.images[-1, 0, -1, -1] = bad
-    prefix = tmp_path / "set"
-    with pytest.raises(ContainerError, match=r"\[0, 1\]"):
-        write_container(container, prefix)
-    assert not images_path(prefix).exists() and not labels_path(prefix).exists()
+def test_no_module_reads_the_whole_set_as_floats():
+    """Commands convert the images they use through images_at; the
+    images property, eight bytes a pixel for the whole set, is for
+    callers outside the package."""
+    src = Path(bke.__file__).parent
+    readers = sorted((path.name, node.lineno) for path in src.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and node.attr == "images")
+    assert readers == []
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, bool])
+def test_container_rejects_pixels_that_are_not_u8(dtype):
+    # float images in [0, 1] passed as pixels would be divided by 255 twice
+    with pytest.raises(ContainerError, match=f"pixels must be uint8, got {np.dtype(dtype)}"):
+        DatasetContainer(np.zeros((2, 1, 4, 4), dtype=dtype), np.zeros(2, dtype=np.int64))
 
 
 # --- splits -------------------------------------------------------------------
@@ -262,10 +281,19 @@ def test_subsample_sorted_unique_and_stratified(seed, fraction):
 
 
 def test_split_manifest_round_trip(tmp_path):
-    split = SplitSpec(train_indices=(0, 2, 5), test_indices=(1, 3), fraction=0.5, seed=11)
+    split = SplitSpec(train_indices=(0, 2, 5), test_indices=(1, 3))
     path = tmp_path / "m.split.json"
     write_split(split, path)
     assert read_split(path) == split
+
+
+def test_split_manifest_holds_only_the_indices(tmp_path):
+    path = tmp_path / "m.split.json"
+    write_split(SplitSpec((0, 2, 5), (1, 3), fraction=0.5, seed=11), path)
+    assert path.read_text() == '{"train": [0, 2, 5], "test": [1, 3]}\n'
+    # the seed and fraction of an older manifest are ignored, whatever they hold
+    path.write_text('{"seed": 1, "fraction": null, "train": [0, 2, 5], "test": [1, 3]}')
+    assert read_split(path) == SplitSpec((0, 2, 5), (1, 3))
 
 
 def test_split_manifest_missing_key(tmp_path):
@@ -278,12 +306,11 @@ def test_split_manifest_missing_key(tmp_path):
 @pytest.mark.parametrize("text", [
     b'{"seed": 1, "fraction": 1.0, "train": 5, "test": []}',
     b'[{"seed": 1, "fraction": 1.0, "train": [0], "test": []}]',
-    b'{"seed": 1, "fraction": null, "train": [0], "test": []}',
     b'{"seed": 1, "fraction": 1.0, "train": ["x"], "test": []}',
     b'{"seed": 1, "fraction": 1.0, "train": [1e400], "test": []}',
     b'{"seed": 1, "fraction": 1.0, "train": [0], "test": [',
     b'{"seed": 1, "fraction": 1.0, "train": [0], "test": [\xff]}',
-], ids=["train-int", "top-level-list", "fraction-null", "train-str", "train-overflow",
+], ids=["train-int", "top-level-list", "train-str", "train-overflow",
         "cut-json", "not-utf8"])
 def test_split_manifest_malformed(tmp_path, text):
     path = tmp_path / "bad.split.json"

@@ -452,14 +452,14 @@ def test_finetune_updates_encoder_and_head():
 def test_evaluate_classifier_requires_head():
     container, split = tiny_setup()
     with pytest.raises(ValueError, match="classifier"):
-        evaluate_classifier(init_bundle(TINY, 5), container.images, container.labels, 0)
+        evaluate_classifier(init_bundle(TINY, 5), container, range(len(container)), 0)
 
 
 def test_evaluate_classifier_batch_size_invariant():
     container, split = tiny_setup()
     bundle, _, _ = finetune(container, split, init_bundle(TINY, 5), tiny_config(epochs=1))
-    full = evaluate_classifier(bundle, container.images, container.labels, 0, batch_size=64)
-    chunked = evaluate_classifier(bundle, container.images, container.labels, 0, batch_size=5)
+    full = evaluate_classifier(bundle, container, range(len(container)), 0, batch_size=64)
+    chunked = evaluate_classifier(bundle, container, range(len(container)), 0, batch_size=5)
     assert full == chunked
 
 
