@@ -5,7 +5,9 @@ Configuration precedence is CLI flag > JSON config file (``--config``) >
 built-in default. Unknown config keys are rejected. Every command that
 produces artifacts echoes its effective configuration as JSON next to
 them, and every command is deterministic given (config, seed): rerunning
-writes byte-identical files.
+at the same BLAS thread count (``OPENBLAS_NUM_THREADS``) writes
+byte-identical files. At another thread count a checkpoint can differ in
+its last bits, since BLAS may then sum in another order.
 
 The pretrain, finetune and sweep options are the fields of ``SslConfig``
 and ``BkeConfig`` (``--lambda`` sets ``BkeConfig.lam``). Configs and
@@ -386,7 +388,7 @@ def _gradcheck_instances(seed: int, perturb: bool):
         return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u[1::2])).reshape(shape)
 
     def wrong(loss, leaf):
-        if perturb and T.tape_active():
+        if perturb and leaf.tape is not None:
             return T.add(loss, T.scale(T.mean_all(leaf), 0.01))
         return loss
 

@@ -277,12 +277,10 @@ def finetune(
             labels = container.labels[batch]
             try:
                 with T.Tape() as tape:
-                    enc = {name: tape.leaf(bundle.online_encoder[name])
-                           for name in sorted(bundle.online_encoder)}
-                    head = {name: tape.leaf(bundle.classifier[name])
-                            for name in sorted(bundle.classifier)}
-                    feats = encode(enc, spec, images)
-                    logits = mlp_forward(head, feats)
+                    trained = {group: tape.leaves(getattr(bundle, group))
+                               for group in ("online_encoder", "classifier")}
+                    feats = encode(trained["online_encoder"], spec, images)
+                    logits = mlp_forward(trained["classifier"], feats)
                     if config.lam > 0.0 and len(batch) >= 2:
                         q = soft_targets(feats.data, logits.data, config.omega, config.tau).values
                     else:
@@ -295,10 +293,7 @@ def finetune(
                 raise CollapseError(
                     f"finetune failed at epoch {epoch}, batch starting {batch[0]}: {exc}"
                 ) from exc
-            enc_grads = {name: grads[leaf.node_id].data for name, leaf in enc.items()}
-            head_grads = {name: grads[leaf.node_id].data for name, leaf in head.items()}
-            bundle.online_encoder = optimizer.step(bundle.online_encoder, enc_grads, prefix="enc/")
-            bundle.classifier = optimizer.step(bundle.classifier, head_grads, prefix="head/")
+            optimizer.step(bundle, trained, grads)
         try:
             scores = evaluate_classifier(bundle, container, split.test_indices,
                                          config.positive_class)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -206,10 +206,6 @@ def predict(params: Mapping, projections) -> T.Tensor:
 # everything before it. Specs and seed travel as "meta/*" tensors so one
 # file round-trips the whole bundle bit-exactly.
 
-# the parameter groups in file order: every ModelBundle field but specs and init_seed
-_GROUP_ORDER = tuple(f.name for f in fields(ModelBundle) if f.name not in ("specs", "init_seed"))
-
-
 def _meta_records(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
     specs = bundle.specs
     seed = bundle.init_seed & (1 << 64) - 1
@@ -228,12 +224,9 @@ def _meta_records(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
     records = _meta_records(bundle)
-    for group in _GROUP_ORDER:
+    for group in _param_shapes(bundle.specs):
         params = getattr(bundle, group)
-        if params is None:
-            continue
-        for name in sorted(params):
-            records.append((f"{group}/{name}", params[name]))
+        records.extend((f"{group}/{name}", params[name]) for name in sorted(params))
 
     payload = bytearray()
     payload += CHECKPOINT_MAGIC
@@ -310,24 +303,27 @@ def _read_bundle(fh) -> ModelBundle:
     if fh.read(1):
         raise CheckpointError("payload length mismatch: trailing bytes after checksum")
 
-    def meta(name: str) -> np.ndarray:
+    def meta(name: str, limit: float = math.inf) -> list[int]:
+        """The record's values, each a whole number in [0, limit)."""
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing {name}")
-        return tensors.pop(name)
+        values = tensors.pop(name)
+        whole = (values >= 0) & (values < limit) & (values == np.floor(values))
+        if not whole.all():
+            # load_checkpoint reports this ValueError as a corrupt checkpoint
+            raise ValueError(f"{name} holds {float(values[~whole].flat[0])!r}, "
+                             f"not a whole number in [0, {limit:.0f})")
+        return [int(v) for v in values]
 
-    def mlp(name: str) -> MlpSpec:
-        return MlpSpec(*[int(d) for d in meta(f"meta/{name}_dims")])
-
-    seed_parts = meta("meta/init_seed")
-    init_seed = int(seed_parts[0]) | (int(seed_parts[1]) << 32)
-    input_side = int(meta("meta/input_side")[0])
-    channels = [int(c) for c in meta("meta/conv_channels")]
-    strides = [int(s) for s in meta("meta/conv_strides")]
+    seed_lo, seed_hi = meta("meta/init_seed", 2**32)
+    (input_side,) = meta("meta/input_side")
+    stages = tuple(zip(meta("meta/conv_channels"), meta("meta/conv_strides")))
     specs = BundleSpecs(
-        encoder=EncoderSpec(input_side=input_side, conv_stages=tuple(zip(channels, strides))),
-        projector=mlp("projector"),
-        predictor=mlp("predictor"),
-        classifier=mlp("classifier") if "meta/classifier_dims" in tensors else None,
+        encoder=EncoderSpec(input_side=input_side, conv_stages=stages),
+        projector=MlpSpec(*meta("meta/projector_dims")),
+        predictor=MlpSpec(*meta("meta/predictor_dims")),
+        classifier=(MlpSpec(*meta("meta/classifier_dims"))
+                    if "meta/classifier_dims" in tensors else None),
     )
 
     expected = {f"{group}/{name}": shape
@@ -347,4 +343,4 @@ def _read_bundle(fh) -> ModelBundle:
             raise CheckpointError(f"checkpoint tensor {full_name} holds non-finite values")
         group, _, pname = full_name.partition("/")
         groups.setdefault(group, {})[pname] = arr
-    return ModelBundle(specs=specs, init_seed=init_seed, **groups)
+    return ModelBundle(specs=specs, init_seed=seed_lo | seed_hi << 32, **groups)

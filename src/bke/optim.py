@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import Tensor
+
 Params = dict[str, np.ndarray]
 
 
@@ -14,8 +16,10 @@ Params = dict[str, np.ndarray]
 class SgdMomentum:
     """v <- m*v + g ; p <- p - lr*v.
 
-    Parameter arrays are treated as immutable: each step produces fresh
-    arrays, so tensors recorded on an earlier tape never see mutation.
+    Each velocity is keyed by its parameter's checkpoint record name,
+    ``<group>/<name>``. Parameter arrays are treated as immutable: each
+    step produces fresh arrays, so tensors recorded on an earlier tape
+    never see mutation.
     """
 
     lr: float
@@ -28,19 +32,23 @@ class SgdMomentum:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
-    def step(self, params: Params, grads: Params, prefix: str = "") -> Params:
-        updated: Params = {}
-        for name, value in params.items():
-            g = grads[name]
-            if g.shape != value.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} != parameter shape {value.shape} for {name}"
-                )
-            key = prefix + name
-            v = self.momentum * self.velocity.get(key, 0.0) + g
-            self.velocity[key] = v
-            updated[name] = value - self.lr * v
-        return updated
+    def step(self, bundle, groups: dict[str, dict[str, Tensor]], grads: dict[int, Tensor]) -> None:
+        """Step each group the phase trains (group name -> its taped leaves)
+        with the tape's gradients, replacing the group on ``bundle``; the
+        tensors of a group are stepped in the bundle's order."""
+        for group, leaves in groups.items():
+            updated: Params = {}
+            for name, value in getattr(bundle, group).items():
+                g = grads[leaves[name].node_id].data
+                if g.shape != value.shape:
+                    raise ValueError(
+                        f"gradient shape {g.shape} != parameter shape {value.shape} for {group}/{name}"
+                    )
+                key = f"{group}/{name}"
+                v = self.momentum * self.velocity.get(key, 0.0) + g
+                self.velocity[key] = v
+                updated[name] = value - self.lr * v
+            setattr(bundle, group, updated)
 
 
 def ema_update(target: Params, online: Params, zeta: float) -> Params:

@@ -105,10 +105,6 @@ def cross_model_loss(q1_prime, z2) -> T.Tensor:
     return _cosine_loss(q1_prime, z2, "cross_model_loss")
 
 
-def _register(tape: T.Tape, params) -> dict[str, T.Tensor]:
-    return {name: tape.leaf(params[name]) for name in sorted(params)}
-
-
 def ssl_step(
     bundle: ModelBundle,
     images: np.ndarray,
@@ -126,9 +122,9 @@ def ssl_step(
     z2_val = project(bundle.target_projector, encode(bundle.target_encoder, spec, v2)).data
 
     with T.Tape() as tape:
-        enc = _register(tape, bundle.online_encoder)
-        proj = _register(tape, bundle.online_projector)
-        pred = _register(tape, bundle.predictor)
+        trained = {group: tape.leaves(getattr(bundle, group))
+                   for group in ("online_encoder", "online_projector", "predictor")}
+        enc, proj, pred = trained.values()
         feats1 = encode(enc, spec, v1)
         q1 = predict(pred, project(proj, feats1))
         q1p = predict(pred, project(proj, encode(enc, spec, v2)))
@@ -137,12 +133,7 @@ def ssl_step(
         loss_total = T.add(loss_cv, loss_cm)
         grads = tape.backward(loss_total)
 
-    def grads_of(leaves: dict[str, T.Tensor]) -> dict[str, np.ndarray]:
-        return {name: grads[leaf.node_id].data for name, leaf in leaves.items()}
-
-    bundle.online_encoder = optimizer.step(bundle.online_encoder, grads_of(enc), prefix="enc/")
-    bundle.online_projector = optimizer.step(bundle.online_projector, grads_of(proj), prefix="proj/")
-    bundle.predictor = optimizer.step(bundle.predictor, grads_of(pred), prefix="pred/")
+    optimizer.step(bundle, trained, grads)
     bundle.target_encoder = ema_update(bundle.target_encoder, bundle.online_encoder, config.zeta)
     bundle.target_projector = ema_update(bundle.target_projector, bundle.online_projector, config.zeta)
 

@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A :class:`Tape` records every primitive executed while it is active (a
-``with Tape() as tape:`` block). ``Tape.backward`` replays the records in
-reverse creation order exactly once, accumulating vector-Jacobian products
-into the registered leaf parameters. A tape is single-use: as backward
-passes a node it frees the node's gradient and vjps, and with them the
-arrays they saved (relu's mask; conv2d's input view and at most one
-chunk, about 1 MiB, of its column matrix). A primitive records a node
+``with Tape() as tape:`` block). ``Tape.leaves`` registers a parameter
+group, one leaf per name in sorted order. ``Tape.backward`` replays the
+records in reverse creation order exactly once, accumulating
+vector-Jacobian products into the leaves, and returns each leaf's
+gradient under its node id. A tape is single-use: as backward passes a
+node it frees the node's gradient and vjps, and with them the arrays
+they saved (relu's mask; conv2d's input view and at most one chunk,
+about 1 MiB, of its column matrix). A primitive records a node
 only when some input is a tensor on the active tape, so plain math run
 under a tape stays off it. Tensors without a tape handle are plain
 immutable values; :func:`detach` drops the handle, so anything computed
@@ -28,7 +30,6 @@ from numpy.lib.stride_tricks import as_strided
 __all__ = [
     "Tensor",
     "Tape",
-    "tape_active",
     "detach",
     "PRIMITIVE_KINDS",
     "matmul",
@@ -110,11 +111,6 @@ def _active_tape() -> "Tape | None":
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def tape_active() -> bool:
-    """True while some Tape context is recording."""
-    return bool(_TAPE_STACK)
-
-
 class Tape:
     """Records primitives in creation order; a DAG by construction. Single-use:
     ``backward`` frees each node's saved arrays and gradient as it passes."""
@@ -145,6 +141,10 @@ class Tape:
         nid = self._record("leaf", [], arr.shape)
         self._leaf_ids.append(nid)
         return Tensor(arr, self, nid)
+
+    def leaves(self, params: Mapping) -> dict[str, Tensor]:
+        """Register a parameter group, one leaf per name in sorted order."""
+        return {name: self.leaf(params[name]) for name in sorted(params)}
 
     def backward(self, loss: Tensor) -> dict[int, Tensor]:
         """Gradients of a scalar loss for every leaf on this tape.
@@ -526,7 +526,7 @@ def finite_difference_check(
     arrays = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
 
     with Tape() as tape:
-        leaves = {name: tape.leaf(arr) for name, arr in arrays.items()}
+        leaves = tape.leaves(arrays)
         loss = f(leaves)
         grad_map = tape.backward(loss)
     auto = {name: grad_map[leaves[name].node_id].data for name in arrays}

@@ -254,6 +254,34 @@ def test_checkpoint_bad_metadata_rejected(tmp_path, input_side):
         load_checkpoint(path)
 
 
+def _forged_meta(tmp_path, name: str, offset: int, forge) -> Path:
+    """A checkpoint whose record ``name`` has the 8 bytes at value ``offset``
+    replaced by forge(those bytes)."""
+    path = tmp_path / "model.bkec"
+    save_checkpoint(init_bundle(TINY, 8), path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(name.encode()) + len(name) + 1 + 4 + 8 * offset
+    blob[at : at + 8] = forge(bytes(blob[at : at + 8]))
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("name", ["meta/conv_channels", "meta/input_side", "meta/projector_dims"])
+def test_checkpoint_meta_that_is_not_a_whole_number_rejected(tmp_path, name):
+    # the lowest mantissa bit turns 2.0 into 2.0000000000000004, which int() would truncate
+    path = _forged_meta(tmp_path, name, 0, lambda b: bytes([b[0] ^ 1]) + b[1:])
+    with pytest.raises(CheckpointError, match=f"{name} holds .*, not a whole number"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("half", [0, 1])
+@pytest.mark.parametrize("value", [2.0**32, -1.0, 0.5])
+def test_checkpoint_seed_half_outside_32_bits_rejected(tmp_path, half, value):
+    path = _forged_meta(tmp_path, "meta/init_seed", half, lambda b: struct.pack("<d", value))
+    with pytest.raises(CheckpointError, match=f"meta/init_seed holds {value!r}, not a whole number"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_param_names_checked_against_specs(tmp_path):
     bundle = init_bundle(TINY, 8)
     bundle.online_encoder["stage0.v"] = bundle.online_encoder.pop("stage0.w")
