@@ -1,6 +1,8 @@
 """Command-line surface: synth, pretrain, finetune, eval, propagate, sweep,
 gradcheck.
 
+A command is one entry of ``COMMANDS``: its handler and its options. An
+option with no default is required; an empty value counts as missing.
 Configuration precedence is CLI flag > JSON config file (``--config``) >
 built-in default. Unknown config keys are rejected. Every command that
 produces artifacts echoes its effective configuration as JSON next to
@@ -28,6 +30,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -72,7 +75,6 @@ class Field:
     kind: type
     default: object
     help: str
-    required: bool = False
     choices: tuple | None = None
 
 
@@ -106,88 +108,33 @@ def _config(cls, cfg: dict):
 
 _FRACTION = Field("fraction", float, 1.0, "per-class fraction of labeled training data")
 
-COMMANDS: dict[str, list[Field]] = {
-    "synth": [
-        Field("out", str, None, "output dataset prefix", required=True),
-        Field("n_per_class", int, 300, "images per class"),
-        Field("side", int, 16, "image side in pixels"),
-        Field("test_per_class", int, 100, "held-out test images per class"),
-        Field("seed", int, 0, "RNG seed"),
-    ],
-    "pretrain": [
-        Field("data", str, None, "dataset prefix", required=True),
-        Field("out", str, None, "output directory", required=True),
-        *_config_fields(SslConfig),
-    ],
-    "finetune": [
-        Field("data", str, None, "dataset prefix", required=True),
-        Field("checkpoint", str, None, "Phase-I checkpoint path", required=True),
-        Field("out", str, None, "output directory", required=True),
-        *_config_fields(BkeConfig),
-        _FRACTION,
-    ],
-    "eval": [
-        Field("data", str, None, "dataset prefix", required=True),
-        Field("checkpoint", str, None, "fine-tuned model checkpoint", required=True),
-        Field("out", str, None, "output directory", required=True),
-        Field("subset", str, "test", "which split to score", choices=("train", "test", "all")),
-        Field("positive_class", int, 0, "class treated as positive"),
-    ],
-    "propagate": [
-        Field("features", str, None, "CSV of features, one row per sample", required=True),
-        Field("logits", str, None, "CSV of logits, one row per sample", required=True),
-        Field("out", str, None, "output CSV for the soft targets", required=True),
-        Field("omega", float, 0.5, "ensembling weight in [0,1)"),
-        Field("tau", float, 1.0, "softmax temperature"),
-        Field("method", str, "closed", "propagation method", choices=("closed", "iter")),
-        Field("iters", int, 200, "iterations for --method iter"),
-    ],
-    "sweep": [
-        Field("data", str, None, "dataset prefix", required=True),
-        Field("checkpoint", str, None, "Phase-I checkpoint path", required=True),
-        Field("out", str, None, "output directory", required=True),
-        Field("param", str, None, "hyperparameter to sweep", required=True,
-              choices=tuple(DEFAULT_GRIDS)),
-        Field("values", str, "", "comma-separated grid (default: built-in grid)"),
-        *_config_fields(BkeConfig),
-        _FRACTION,
-    ],
-    "gradcheck": [
-        Field("seed", int, 0, "RNG seed for the random instances"),
-        Field("perturb", bool, False, "inject a wrong gradient (negative control)"),
-    ],
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
+_KIND_WORDS = {bool: "a boolean", int: "an integer", float: "float", str: "str"}
+
+
 def _coerce(field: Field, value, source: str):
-    if field.kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{source}: {field.name} must be a boolean, got {value!r}")
-    if field.kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if field.kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{source}: {field.name} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, field.kind):
+    """A config-file value of exactly the option's type, after an int is
+    widened for a float option; so neither true nor 1.0 passes as an int."""
+    if field.kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not field.kind:
         raise ConfigError(
-            f"{source}: {field.name} must be {field.kind.__name__}, got {value!r}"
+            f"{source}: {field.name} must be {_KIND_WORDS[field.kind]}, got {value!r}"
         )
     return value
 
 
 def build_config(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, with unknown keys rejected."""
-    fields = {f.name: f for f in COMMANDS[command]}
+    fields = {f.name: f for f in COMMANDS[command][1]}
     effective = {name: f.default for name, f in fields.items()}
 
-    config_path = getattr(args, "config", None)
-    if config_path:
+    config_path = args.config
+    if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -199,17 +146,11 @@ def build_config(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            effective[key] = _coerce(fields[key], value, str(config_path))
+            effective[key] = _coerce(fields[key], value, config_path)
+    # the parser sets only the flags given, already typed
+    effective.update((k, v) for k, v in vars(args).items() if k in fields)
 
-    for name, field in fields.items():
-        flag_value = getattr(args, name, None)
-        if field.kind is bool:
-            if flag_value:  # store_true: only an explicit flag overrides
-                effective[name] = True
-        elif flag_value is not None:
-            effective[name] = _coerce(field, flag_value, "flag")
-
-    missing = [n for n, f in fields.items() if f.required and effective[n] is None]
+    missing = [n for n, f in fields.items() if f.default is None and effective[n] in (None, "")]
     if missing:
         raise ConfigError(f"missing required options: {', '.join('--' + m for m in missing)}")
     for name, field in fields.items():
@@ -272,9 +213,8 @@ def _cmd_pretrain(cfg: dict) -> int:
     ssl_cfg = _config(SslConfig, cfg)
     container, split = _load_dataset(cfg["data"])
     images = container.images_at(list(split.train_indices))
-    bundle, history = pretrain(images, ssl_cfg)
     out_dir = Path(cfg["out"])
-    save_checkpoint(bundle, out_dir / "checkpoint.bkec")
+    _, history = pretrain(images, ssl_cfg, checkpoint_path=out_dir / "checkpoint.bkec")
     write_loss_csv(history, out_dir / "pretrain_loss.csv")
     _echo_config("pretrain", cfg, out_dir / "config.json")
     final = history[-1]
@@ -420,14 +360,55 @@ def _cmd_gradcheck(cfg: dict) -> int:
     return 1 if failed else 0
 
 
-_DISPATCH = {
-    "synth": _cmd_synth,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
-    "eval": _cmd_eval,
-    "propagate": _cmd_propagate,
-    "sweep": _cmd_sweep,
-    "gradcheck": _cmd_gradcheck,
+COMMANDS: dict[str, tuple[Callable[[dict], int], list[Field]]] = {
+    "synth": (_cmd_synth, [
+        Field("out", str, None, "output dataset prefix"),
+        Field("n_per_class", int, 300, "images per class"),
+        Field("side", int, 16, "image side in pixels"),
+        Field("test_per_class", int, 100, "held-out test images per class"),
+        Field("seed", int, 0, "RNG seed"),
+    ]),
+    "pretrain": (_cmd_pretrain, [
+        Field("data", str, None, "dataset prefix"),
+        Field("out", str, None, "output directory"),
+        *_config_fields(SslConfig),
+    ]),
+    "finetune": (_cmd_finetune, [
+        Field("data", str, None, "dataset prefix"),
+        Field("checkpoint", str, None, "Phase-I checkpoint path"),
+        Field("out", str, None, "output directory"),
+        *_config_fields(BkeConfig),
+        _FRACTION,
+    ]),
+    "eval": (_cmd_eval, [
+        Field("data", str, None, "dataset prefix"),
+        Field("checkpoint", str, None, "fine-tuned model checkpoint"),
+        Field("out", str, None, "output directory"),
+        Field("subset", str, "test", "which split to score", choices=("train", "test", "all")),
+        Field("positive_class", int, 0, "class treated as positive"),
+    ]),
+    "propagate": (_cmd_propagate, [
+        Field("features", str, None, "CSV of features, one row per sample"),
+        Field("logits", str, None, "CSV of logits, one row per sample"),
+        Field("out", str, None, "output CSV for the soft targets"),
+        Field("omega", float, 0.5, "ensembling weight in [0,1)"),
+        Field("tau", float, 1.0, "softmax temperature"),
+        Field("method", str, "closed", "propagation method", choices=("closed", "iter")),
+        Field("iters", int, 200, "iterations for --method iter"),
+    ]),
+    "sweep": (_cmd_sweep, [
+        Field("data", str, None, "dataset prefix"),
+        Field("checkpoint", str, None, "Phase-I checkpoint path"),
+        Field("out", str, None, "output directory"),
+        Field("param", str, None, "hyperparameter to sweep", choices=tuple(DEFAULT_GRIDS)),
+        Field("values", str, "", "comma-separated grid (default: built-in grid)"),
+        *_config_fields(BkeConfig),
+        _FRACTION,
+    ]),
+    "gradcheck": (_cmd_gradcheck, [
+        Field("seed", int, 0, "RNG seed for the random instances"),
+        Field("perturb", bool, False, "inject a wrong gradient (negative control)"),
+    ]),
 }
 
 
@@ -437,16 +418,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bke", description="two-phase self-supervised training pipeline"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, fields in COMMANDS.items():
+    for command, (_, fields) in COMMANDS.items():
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", help="JSON config file")
         for field in fields:
-            flag = "--" + field.name.replace("_", "-")
-            if field.kind is bool:
-                sub.add_argument(flag, action="store_true", default=False, help=field.help)
-            else:
-                sub.add_argument(flag, type=field.kind, default=None, help=field.help,
-                                 choices=field.choices)
+            typed = ({"action": "store_true"} if field.kind is bool
+                     else {"type": field.kind, "choices": field.choices})
+            sub.add_argument("--" + field.name.replace("_", "-"), default=argparse.SUPPRESS,
+                             help=field.help, **typed)
     return parser
 
 
@@ -456,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args.command, args)
         # a blow-up is reported once, by the finite check that raises, not by numpy warnings too
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _DISPATCH[args.command](cfg)
+            return COMMANDS[args.command][0](cfg)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import substream, uniform
-from .textio import write_artifact
+from .textio import read_exact, write_artifact
 
 IMAGES_MAGIC = b"BKEI"
 LABELS_MAGIC = b"BKEL"
@@ -109,39 +108,32 @@ def write_container(container: DatasetContainer, prefix) -> None:
     write_artifact(labels_path(prefix), header + container.labels.astype(np.uint8).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Read n bytes, checking first that the file still holds them."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise ContainerError(f"truncated {what}: wanted {n} bytes, got {left}")
-    return fh.read(n)
-
-
 def read_container(prefix) -> DatasetContainer:
     ipath = images_path(prefix)
     lpath = labels_path(prefix)
     with open(ipath, "rb") as fh:
-        if _read_exact(fh, 4, "images header") != IMAGES_MAGIC:
+        if read_exact(fh, 4, ContainerError, "images header") != IMAGES_MAGIC:
             raise ContainerError(f"{ipath}: bad magic")
-        version, count, h, w = struct.unpack("<IIII", _read_exact(fh, 16, "images header"))
+        version, count, h, w = struct.unpack(
+            "<IIII", read_exact(fh, 16, ContainerError, "images header"))
         if version != CONTAINER_VERSION:
             raise ContainerError(f"{ipath}: unsupported version {version}")
-        raw = _read_exact(fh, count * h * w, "images payload")
+        raw = read_exact(fh, count * h * w, ContainerError, "images payload")
         if fh.read(1):
             raise ContainerError(f"{ipath}: trailing bytes")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, h, w)
 
     with open(lpath, "rb") as fh:
-        if _read_exact(fh, 4, "labels header") != LABELS_MAGIC:
+        if read_exact(fh, 4, ContainerError, "labels header") != LABELS_MAGIC:
             raise ContainerError(f"{lpath}: bad magic")
-        version, label_count = struct.unpack("<II", _read_exact(fh, 8, "labels header"))
+        version, label_count = struct.unpack("<II", read_exact(fh, 8, ContainerError, "labels header"))
         if version != CONTAINER_VERSION:
             raise ContainerError(f"{lpath}: unsupported version {version}")
         if label_count != count:
             raise ContainerError(
                 f"count mismatch: {count} images but {label_count} labels"
             )
-        labels = np.frombuffer(_read_exact(fh, count, "labels payload"), dtype=np.uint8)
+        labels = np.frombuffer(read_exact(fh, count, ContainerError, "labels payload"), dtype=np.uint8)
         if fh.read(1):
             raise ContainerError(f"{lpath}: trailing bytes")
 

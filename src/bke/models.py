@@ -10,8 +10,8 @@ global average pooling; a deeper stack can be swapped in through
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import struct
 from dataclasses import astuple, dataclass, replace
 from typing import Mapping
@@ -20,7 +20,7 @@ import numpy as np
 
 from .rng import SplitMix64, substream, uniform
 from . import tensor as T
-from .textio import write_artifact
+from .textio import read_exact, write_artifact
 
 KERNEL_SIZE = 3
 CONV_PAD = 1
@@ -256,13 +256,6 @@ def _param_shapes(specs: BundleSpecs) -> dict[str, dict[str, tuple[int, ...]]]:
     return shapes
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """Read n bytes, checking first that the file still holds them."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise CheckpointError("payload length mismatch: truncated checkpoint")
-    return fh.read(n)
-
-
 def load_checkpoint(path) -> ModelBundle:
     """Read a bundle back; corrupt content raises :class:`CheckpointError`."""
     with open(path, "rb") as fh:
@@ -275,27 +268,27 @@ def load_checkpoint(path) -> ModelBundle:
 
 
 def _read_bundle(fh) -> ModelBundle:
-    magic = _read_exact(fh, 4)
+    read = functools.partial(read_exact, fh, error=CheckpointError, what="checkpoint")
+    magic = read(4)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    (version,) = struct.unpack("<I", read(4))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
-    consumed = 12
+    (count,) = struct.unpack("<I", read(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-        name = _read_exact(fh, name_len).decode("utf-8")
+        (name_len,) = struct.unpack("<H", read(2))
+        name = read(name_len).decode("utf-8")
         if name in tensors:
             raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
-        (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-        dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+        (rank,) = struct.unpack("<B", read(1))
+        dims = struct.unpack(f"<{rank}I", read(4 * rank))
         n_bytes = 8 * math.prod(dims)
-        data = np.frombuffer(_read_exact(fh, n_bytes), dtype="<f8").reshape(dims)
+        data = np.frombuffer(read(n_bytes), dtype="<f8").reshape(dims)
         tensors[name] = data.astype(np.float64)
-        consumed += 2 + name_len + 1 + 4 * rank + n_bytes
-    (declared,) = struct.unpack("<Q", _read_exact(fh, 8))
+    consumed = fh.tell()
+    (declared,) = struct.unpack("<Q", read(8))
     if declared != consumed:
         raise CheckpointError(
             f"payload length mismatch: trailer says {declared}, read {consumed}"

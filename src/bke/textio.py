@@ -1,4 +1,5 @@
-"""The one artifact writer, plus repeatable float formatting, JSON and CSV.
+"""The one artifact writer, plus repeatable float formatting, JSON and CSV,
+and the one bounded read of the binary readers.
 
 Every file bke writes goes through ``write_artifact``: it makes the parent
 directory, writes a sibling ``<name>.partial`` and renames it over the
@@ -37,6 +38,15 @@ def write_artifact(path, content: str | bytes) -> None:
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def read_exact(fh, n: int, error: type[Exception], what: str) -> bytes:
+    """Read n bytes, checking first that the file still holds them; a short
+    file raises the reader's own error type."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise error(f"truncated {what}: wanted {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def write_json(path, doc) -> None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bke.cli import DEFAULT_GRIDS, main
+from bke.cli import COMMANDS, DEFAULT_GRIDS, main
 from bke.data import read_container, read_split
 from bke.metrics import read_epoch_csv
 from bke.textio import read_float_matrix
@@ -120,6 +121,65 @@ def test_choices_checked_for_config_values(tmp_path, capsys):
     assert run("eval", "--config", config, "--data", "x", "--checkpoint", "y",
                "--out", tmp_path / "o") == 1
     assert "subset must be one of train, test, all" in capsys.readouterr().err
+
+
+PROPAGATE = ("propagate", "--features", DATA_DIR / "features.csv",
+             "--logits", DATA_DIR / "logits.csv", "--out", "q.csv")
+
+
+@pytest.mark.parametrize("doc, argv, code, wanted", [
+    # a flag given at its built-in default still beats the file
+    ({"seed": 3}, ("synth", "--out", "ds", "--seed", 0, "--n-per-class", 4,
+                   "--test-per-class", 1), 0, ("ds.synth.config.json", "seed", 0)),
+    # an int from the file is widened for a float option
+    ({"tau": 2}, PROPAGATE, 0, ("q.csv.config.json", "tau", 2.0)),
+    # a true from the file holds when the store_true flag is absent
+    ({"perturb": True}, ("gradcheck", "--seed", 4), 1, "[FAIL]"),
+    ({"seed": True}, ("synth", "--out", "ds"), 1, "c.json: seed must be an integer, got True"),
+    ({"seed": 1.0}, ("synth", "--out", "ds"), 1, "c.json: seed must be an integer, got 1.0"),
+    ({"tau": False}, PROPAGATE, 1, "c.json: tau must be float, got False"),
+])
+def test_config_file_values_are_typed_and_flags_given_beat_them(tmp_path, capsys, monkeypatch,
+                                                                 doc, argv, code, wanted):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps(doc))
+    assert run(*argv, "--config", "c.json") == code
+    if isinstance(wanted, str):
+        captured = capsys.readouterr()
+        assert wanted in captured.out + captured.err
+    else:
+        echo, key, value = wanted
+        echoed = json.loads(Path(echo).read_text())[key]
+        assert echoed == value and type(echoed) is type(value)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--config", "", "--out", "ds"), "No such file or directory: ''"),
+    # an unset shell variable (--out "$OUT") must not write hidden files into the cwd
+    (("synth", "--out", ""), "missing required options: --out"),
+    (("pretrain", "--data", "", "--out", "o"), "missing required options: --data"),
+])
+def test_empty_path_is_an_error_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_is_built_from_the_command_table(command, capsys):
+    options = COMMANDS[command][1]
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    flags = {"--" + f.name.replace("_", "-") for f in options}
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {
+        "--help", "--config", *flags}
+    required = ["--" + f.name for f in options if f.default is None]
+    if required:  # reported all at once, in table order
+        assert run(command) == 1
+        assert capsys.readouterr().err == f"error: missing required options: {', '.join(required)}\n"
 
 
 # --- pretrain / finetune / eval flow ----------------------------------------------

@@ -201,7 +201,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     blob = path.read_bytes()
     for cut in (len(blob) - 3, len(blob) // 2, 10):
         path.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointError, match="payload length mismatch"):
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
             load_checkpoint(path)
 
 
