@@ -120,7 +120,12 @@ def _coerce(field: Field, value, source: str):
     """A config-file value of exactly the option's type, after an int is
     widened for a float option; so neither true nor 1.0 passes as an int."""
     if field.kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{source}: {field.name} must be float, got an integer too large for one"
+            ) from None
     if type(value) is not field.kind:
         raise ConfigError(
             f"{source}: {field.name} must be {_KIND_WORDS[field.kind]}, got {value!r}"

@@ -22,10 +22,10 @@ propagate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -385,22 +385,55 @@ def _valid_taps(ksize: int, size: int, size_out: int, stride: int, pad: int) -> 
     return taps
 
 
+@lru_cache(maxsize=64)  # a model uses a few geometries; the bound keeps a long process small
+def _conv_plan(h: int, wdt: int, kh: int, kw: int, stride: int, pad: int) -> tuple:
+    """conv2d's gather plan for one geometry, whatever the batch size: the
+    pixel index into the unpadded h*w grid of every (ho, wo, kh, kw) window
+    tap, read-only; the index tuples of the (m, ho, wo, kh, kw, cin)
+    column entries that fall in the padding; and the per-axis
+    ``_valid_taps`` that the input-gradient scatter reads."""
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wdt + 2 * pad - kw) // stride + 1
+    row_taps = tuple(_valid_taps(kh, h, ho, stride, pad))
+    col_taps = tuple(_valid_taps(kw, wdt, wo, stride, pad))
+    # a tap in the padding reads the nearest pixel; the unfold then sets it to 0.0
+    iy = np.clip((np.arange(ho) * stride)[:, None, None, None] + np.arange(kh)[:, None] - pad, 0, h - 1)
+    ix = np.clip((np.arange(wo) * stride)[:, None, None] + np.arange(kw) - pad, 0, wdt - 1)
+    taps = (iy * wdt + ix).reshape(-1)
+    taps.flags.writeable = False
+    # per kernel row (column), the windows before and after its valid slice
+    pad_regions = []
+    for axis, axis_taps, size_out in ((1, row_taps, ho), (2, col_taps, wo)):
+        for off, (valid, _) in enumerate(axis_taps):
+            for outside in (slice(0, valid.start), slice(valid.stop, size_out)):
+                if outside.start < outside.stop:
+                    region = [slice(None)] * 5
+                    region[axis], region[axis + 2] = outside, off
+                    pad_regions.append(tuple(region))
+    return taps, tuple(pad_regions), row_taps, col_taps
+
+
 def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution, NCHW input, OIHW weight, per-channel bias.
 
     The work is done channels-last, on chunks of the batch holding about
-    ``_CONV_CHUNK_ELEMENTS`` column entries each. A chunk is read through
-    the input's NHWC view, written into a zero-padded ``(m, hp, wp, cin)``
-    buffer and unfolded into a column matrix of shape
-    ``(m*ho*wo, kh*kw*cin)``: each copy moves a contiguous run of ``cin``
-    channels. The forward pass and both gradients are then one 2-D matmul
-    per chunk; a batch that fits in one chunk is one matmul per pass.
+    ``_CONV_CHUNK_ELEMENTS`` column entries each. A chunk is unfolded
+    into a column matrix of shape ``(m*ho*wo, kh*kw*cin)`` by one
+    ``np.take`` of the taps of every window, each a pixel index into the
+    input's ``(m, h*w, cin)`` view, so each tap copies a run of ``cin``
+    channels; the taps that fall in the padding are then set to 0.0. The
+    tap indices are planned once per geometry (``_conv_plan``), for any
+    batch size. The forward pass and both gradients are one 2-D
+    matmul per chunk; a batch that fits in one chunk is one matmul per
+    pass.
 
     The node keeps the input's NHWC view and the last chunk's columns,
-    never the whole batch's column matrix: the weight gradient unfolds
-    the other chunks again. The input gradient scatters each chunk's
-    column gradient straight into one unpadded array, skipping the
-    window entries that fall in the padding.
+    never the whole batch's column matrix: the weight gradient uses that
+    chunk, drops it and unfolds the other chunks again. The input
+    gradient scatters each chunk's column gradient straight into one
+    unpadded array, skipping the window entries that fall in the
+    padding. Each loop drops a chunk's columns or column gradient before
+    it builds the next.
 
     Any input layout is accepted, but the output is an NCHW-shaped view
     of channels-last memory, the GEMM's natural result. So when one
@@ -418,26 +451,23 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d: bias shape {bv.shape} != ({cout},)")
     if stride < 1 or pad < 0:
         raise ValueError("conv2d: stride must be >= 1 and pad >= 0")
-    hp, wp = h + 2 * pad, wdt + 2 * pad
-    if hp < kh or wp < kw:
+    if h + 2 * pad < kh or wdt + 2 * pad < kw:
         raise ValueError(f"conv2d: spatial size {h}x{wdt} too small for kernel {kh}x{kw}")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wdt + 2 * pad - kw) // stride + 1
     hw, k = ho * wo, kh * kw * cin
+    taps, pad_regions, row_taps, col_taps = _conv_plan(h, wdt, kh, kw, stride, pad)
 
-    x_last = xv.transpose(0, 2, 3, 1)
+    # a view for NCHW and NHWC memory alike: h and w stay adjacent in both
+    x_pixels = xv.transpose(0, 2, 3, 1).reshape(n, h * wdt, cin)
     step = max(1, _CONV_CHUNK_ELEMENTS // (hw * k))
     chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
     def unfold(lo, hi):
-        xp = np.zeros((hi - lo, hp, wp, cin))
-        xp[:, pad : pad + h, pad : pad + wdt] = x_last[lo:hi]
-        s0, s1, s2, s3 = xp.strides
-        windows = as_strided(
-            xp, (hi - lo, ho, wo, kh, kw, cin),
-            (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False,
-        )
-        return windows.reshape((hi - lo) * hw, k)
+        cols = np.take(x_pixels[lo:hi], taps, axis=1).reshape(hi - lo, ho, wo, kh, kw, cin)
+        for region in pad_regions:
+            cols[region] = 0.0
+        return cols.reshape((hi - lo) * hw, k)
 
     def channels_last(g, lo, hi):
         return g[lo:hi].transpose(0, 2, 3, 1).reshape((hi - lo) * hw, cout)
@@ -445,6 +475,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     w2 = wv.transpose(0, 2, 3, 1).reshape(cout, k)
     out = np.empty((n * hw, cout))
     for lo, hi in chunks:
+        cols = None  # the previous chunk's columns go before the next are built
         cols = unfold(lo, hi)
         np.matmul(cols, w2.T, out=out[lo * hw : hi * hw])
     out += bv
@@ -452,18 +483,19 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
 
     def vjp_x(g):
         dx = np.zeros((n, h, wdt, cin))
-        row_taps = _valid_taps(kh, h, ho, stride, pad)
-        col_taps = _valid_taps(kw, wdt, wo, stride, pad)
         for lo, hi in chunks:
             dcols = (channels_last(g, lo, hi) @ w2).reshape(hi - lo, ho, wo, kh, kw, cin)
             for i, (oy, iy) in enumerate(row_taps):
                 for j, (ox, ix) in enumerate(col_taps):
                     dx[lo:hi, iy, ix] += dcols[:, oy, ox, i, j]
+            del dcols
         return dx.transpose(0, 3, 1, 2)
 
     def vjp_w(g):
+        nonlocal cols
         *head, last = chunks
         dw = channels_last(g, *last).T @ cols  # the forward's last chunk
+        cols = None  # dropped before the other chunks are unfolded again
         for lo, hi in head:
             dw += channels_last(g, lo, hi).T @ unfold(lo, hi)
         return dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2)

@@ -153,6 +153,15 @@ def test_config_file_values_are_typed_and_flags_given_beat_them(tmp_path, capsys
         assert echoed == value and type(echoed) is type(value)
 
 
+def test_config_integer_too_large_for_a_float_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text('{"tau": 1' + "0" * 400 + "}")
+    assert run(*PROPAGATE, "--config", "c.json") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: c.json: tau must be float, got an integer too large for one"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("synth", "--config", "", "--out", "ds"), "No such file or directory: ''"),
     # an unset shell variable (--out "$OUT") must not write hidden files into the cwd
@@ -720,3 +729,13 @@ def test_documented_script_imports_and_parses(script):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage:")
+
+
+def test_run_sweep_script_writes_one_row_per_grid_value(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_sweep.py"),
+                             "--params", "tau", "--epochs", "1", "--out", str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = (tmp_path / "tau" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(DEFAULT_GRIDS["tau"]) == 5

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import as_strided
 
 from bke import tensor as T
 
@@ -154,6 +155,56 @@ def test_conv2d_keeps_at_most_one_chunk_of_columns(monkeypatch):
     # slack for the reshaped weight, the closures and the chunk bounds
     assert held < chunk_bytes + 16384, f"node held {held / chunk_bytes:.2f} chunks of columns"
     assert peak < cols_bytes, f"forward + backward peaked at {peak / cols_bytes:.2f} column matrices"
+
+
+def test_conv2d_peaks_at_its_output_and_one_chunk_of_columns(monkeypatch):
+    # forward: the output, one chunk's columns (each loop drops a chunk's
+    # columns before it builds the next), the reshaped weight and the
+    # output's finiteness mask; no padded copy of the input.
+    # backward: the output gradient, the input gradient, one chunk's column
+    # gradient (or re-unfolded columns) and the chunk's output gradient in
+    # channels-last order.
+    rng = np.random.default_rng(37)
+    x = np.ascontiguousarray(rng.normal(size=(64, 8, 8, 16))).transpose(0, 3, 1, 2)
+    w, b = rng.normal(size=(32, 16, 3, 3)), rng.normal(size=32)
+    images_per_chunk(monkeypatch, x.shape, w.shape, 1, 1, 8)
+    T.conv2d(x[:1], w, b, stride=1, pad=1)  # the geometry's plan is cached from here on
+    out_bytes, chunk_bytes = 8 * 64 * 32 * 8 * 8, 8 * 8 * 8 * 8 * 3 * 3 * 16
+    w2_bytes, mask_bytes, dx_bytes = 8 * w.size, out_bytes // 8, 8 * x.size
+    g_chunk_bytes = out_bytes * 8 // 64  # 8 of the 64 images
+    slack = 128 * 1024  # numpy's ufunc buffers, the closures and the chunk bounds
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            leaves = [tape.leaf(v) for v in (x, w, b)]
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = T.conv2d(*leaves, stride=1, pad=1)
+            forward = tracemalloc.get_traced_memory()[1] - start
+            loss = T.mean_all(y)
+            del y
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            backward = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    forward_bound = out_bytes + chunk_bytes + w2_bytes + mask_bytes + slack
+    backward_bound = out_bytes + dx_bytes + chunk_bytes + g_chunk_bytes + w2_bytes + slack
+    assert forward < forward_bound, f"forward peaked at {forward / chunk_bytes:.2f} chunks"
+    assert backward < backward_bound, f"backward peaked at {backward / chunk_bytes:.2f} chunks"
+
+
+def test_conv_plan_is_read_only_and_one_per_geometry():
+    rng = np.random.default_rng(43)
+    w, b = rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2)
+    T.conv2d(rng.normal(size=(1, 3, 11, 9)), w, b, stride=2, pad=2)
+    planned = T._conv_plan.cache_info().misses
+    for n in (2, 7, 64):
+        T.conv2d(rng.normal(size=(n, 3, 11, 9)), w, b, stride=2, pad=2)
+    assert T._conv_plan.cache_info().misses == planned
+    taps = T._conv_plan(11, 9, 3, 3, 2, 2)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        taps[0] = 1
 
 
 def test_no_tape_means_plain_values():
@@ -512,6 +563,84 @@ def test_gradcheck_chunked_conv2d_chain(stride, pad, monkeypatch):
 
     report = T.finite_difference_check(f, params)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+
+def padded_conv2d(x, w, b, g, stride, pad, chunk_elements):
+    """Output and x, w, b gradients (for output gradient g) of the conv2d
+    that unfolded each chunk from a zero-padded copy of its images through
+    an ``as_strided`` window view, with the same chunks, GEMM calls and
+    operand layouts as ``T.conv2d``; the input gradient is scattered into
+    a padded buffer in the same tap order and then cropped.
+
+    In a few degenerate geometries (a kernel as wide as the padded input,
+    or a one-column kernel on one channel) the window reshape is a view,
+    not a copy, so this reference's GEMM reads a strided operand and may
+    round differently; the cases below avoid them."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    hw, k = ho * wo, kh * kw * cin
+    x_last = x.transpose(0, 2, 3, 1)
+    step = max(1, chunk_elements // (hw * k))
+    chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def unfold(lo, hi):
+        xp = np.zeros((hi - lo, hp, wp, cin))
+        xp[:, pad : pad + h, pad : pad + wd] = x_last[lo:hi]
+        s0, s1, s2, s3 = xp.strides
+        windows = as_strided(xp, (hi - lo, ho, wo, kh, kw, cin),
+                             (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+        return windows.reshape((hi - lo) * hw, k)
+
+    def channels_last(a, lo, hi):
+        return a[lo:hi].transpose(0, 2, 3, 1).reshape((hi - lo) * hw, cout)
+
+    w2 = w.transpose(0, 2, 3, 1).reshape(cout, k)
+    out = np.empty((n * hw, cout))
+    for lo, hi in chunks:
+        cols = unfold(lo, hi)
+        np.matmul(cols, w2.T, out=out[lo * hw : hi * hw])
+    out += b
+    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+
+    dx = np.zeros((n, h, wd, cin))
+    for lo, hi in chunks:
+        dcols = (channels_last(g, lo, hi) @ w2).reshape(hi - lo, ho, wo, kh, kw, cin)
+        dxp = np.zeros((hi - lo, hp, wp, cin))
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, :, i, j]
+        dx[lo:hi] = dxp[:, pad : pad + h, pad : pad + wd]
+
+    *head, last = chunks
+    dw = channels_last(g, *last).T @ cols
+    for lo, hi in head:
+        dw += channels_last(g, lo, hi).T @ unfold(lo, hi)
+    return (out, dx.transpose(0, 3, 1, 2), dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2),
+            g.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("cin", [1, 3, 16])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_the_padded_buffer_reference_bit_for_bit(stride, pad, cin, monkeypatch):
+    rng = np.random.default_rng(59 + 7 * stride + 3 * pad + cin)
+    for x_shape, kernel in [((5, cin, 7, 6), (3, 3)), ((4, cin, 9, 5), (2, 3))]:
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=(4, cin, *kernel))
+        b = rng.normal(size=4)
+        g = rng.normal(size=T.conv2d(x, w, b, stride=stride, pad=pad).shape)
+        for layout in ("NCHW", "NHWC"):
+            if layout == "NHWC":
+                x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            for images in (x.shape[0], 2):  # one chunk; chunks of 2 images and a last one
+                images_per_chunk(monkeypatch, x.shape, w.shape, stride, pad, images)
+                y, grads = conv2d_and_grads(x, w, b, g, stride, pad)
+                want = padded_conv2d(x, w, b, g, stride, pad, T._CONV_CHUNK_ELEMENTS)
+                for got, expected in zip((y, *grads), want):
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (x_shape, layout, images)
 
 
 def test_conv2d_shape_errors():
