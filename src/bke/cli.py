@@ -217,7 +217,7 @@ def _cmd_synth(cfg: dict) -> int:
 def _cmd_pretrain(cfg: dict) -> int:
     ssl_cfg = _config(SslConfig, cfg)
     container, split = _load_dataset(cfg["data"])
-    images = container.images_at(list(split.train_indices))
+    images = container.pixels[list(split.train_indices)]
     out_dir = Path(cfg["out"])
     _, history = pretrain(images, ssl_cfg, checkpoint_path=out_dir / "checkpoint.bkec")
     write_loss_csv(history, out_dir / "pretrain_loss.csv")

@@ -159,6 +159,9 @@ def soft_targets_closed_form(y_hat: np.ndarray, p: np.ndarray, omega: float) -> 
     p = np.asarray(p, dtype=np.float64)
     _check_propagation_args(y_hat, p, omega)
     a = y_hat * -omega  # I - omega*Yhat, built in one N x N buffer
+    # when the caller passed the graph as a temporary, it goes here, before
+    # solve copies a: two N x N arrays at the peak, not three
+    del y_hat
     a.flat[:: len(a) + 1] += 1.0
     q = (1.0 - omega) * np.linalg.solve(a, p)
     return SoftTargets(values=q, method="closed_form")
@@ -166,12 +169,14 @@ def soft_targets_closed_form(y_hat: np.ndarray, p: np.ndarray, omega: float) -> 
 
 def soft_targets(features, logits, omega: float, tau: float, iters: int | None = None) -> SoftTargets:
     """Q for one batch: the similarity graph over features, P = softmax of
-    logits/tau, then the closed form, or ``iters`` steps of the iteration."""
-    y_hat = normalize_similarity(similarity_matrix(features))
-    p = probabilities(logits, tau).values
+    logits/tau, then the closed form, or ``iters`` steps of the iteration.
+    The graph is passed on as a call temporary, never held here, so the
+    closed form can free it before its solve."""
     if iters is None:
-        return soft_targets_closed_form(y_hat, p, omega)
-    return propagate_iterative(y_hat, p, omega, iters)
+        return soft_targets_closed_form(normalize_similarity(similarity_matrix(features)),
+                                        probabilities(logits, tau).values, omega)
+    return propagate_iterative(normalize_similarity(similarity_matrix(features)),
+                               probabilities(logits, tau).values, omega, iters)
 
 
 def bke_loss(logits: T.Tensor, hard_labels, q: np.ndarray | None, tau: float, lam: float) -> T.Tensor:

@@ -179,15 +179,15 @@ def encode(params: Mapping, spec: EncoderSpec, images) -> T.Tensor:
     if x.data.shape[2] != x.data.shape[3]:
         raise ValueError(f"encode: images must be square, got shape {x.shape}")
     for i, (_out_ch, stride) in enumerate(spec.conv_stages):
-        x = T.conv2d(x, params[f"stage{i}.w"], params[f"stage{i}.b"], stride=stride, pad=CONV_PAD)
-        x = T.relu(x)
+        x = T.conv2d(x, params[f"stage{i}.w"], params[f"stage{i}.b"], stride=stride, pad=CONV_PAD,
+                     relu=True)
     return T.global_avg_pool(x)
 
 
 def mlp_forward(params: Mapping, x) -> T.Tensor:
     """linear -> relu -> linear."""
-    h = T.relu(T.add(T.matmul(x, params["fc1.w"]), params["fc1.b"]))
-    return T.add(T.matmul(h, params["fc2.w"]), params["fc2.b"])
+    h = T.matmul(x, params["fc1.w"], params["fc1.b"], relu=True)
+    return T.matmul(h, params["fc2.w"], params["fc2.b"])
 
 
 def project(params: Mapping, features) -> T.Tensor:

@@ -151,8 +151,13 @@ def pretrain(
     specs: BundleSpecs | None = None,
     checkpoint_path=None,
 ) -> tuple[ModelBundle, list[SslEpochLog]]:
-    """Full Phase I loop with deterministic shuffling and view sampling."""
-    images = np.asarray(images, dtype=np.float64)
+    """Full Phase I loop with deterministic shuffling and view sampling.
+
+    ``images`` are floats in [0, 1], or a container's u8 pixels, which are
+    converted a batch at a time as ``p / 255.0``, the values
+    ``DatasetContainer.images_at`` gives."""
+    images = np.asarray(images)
+    scale = 255.0 if images.dtype == np.uint8 else 1.0
     if images.ndim != 4 or len(images) == 0:
         raise ValueError(f"pretrain: expected nonempty (M, 1, H, W) images, got {images.shape}")
     if specs is None:
@@ -170,7 +175,8 @@ def pretrain(
         for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
             states = substream_states(batch, config.seed, "augment", epoch)
             try:
-                out = ssl_step(bundle, images[batch], config, optimizer, states)
+                out = ssl_step(bundle, np.divide(images[batch], scale, dtype=np.float64),
+                               config, optimizer, states)
             except (FloatingPointError, ValueError) as exc:
                 raise CollapseError(
                     f"pretrain failed at epoch {epoch}, batch starting {batch[0]}: {exc}"

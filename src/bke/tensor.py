@@ -7,22 +7,30 @@ records in reverse creation order exactly once, accumulating
 vector-Jacobian products into the leaves, and returns each leaf's
 gradient under its node id. A tape is single-use: as backward passes a
 node it frees the node's gradient and vjps, and with them the arrays
-they saved (relu's mask; conv2d's input view and at most one chunk,
-about 1 MiB, of its column matrix). A primitive records a node
-only when some input is a tensor on the active tape, so plain math run
-under a tape stays off it. Tensors without a tape handle are plain
-immutable values; :func:`detach` drops the handle, so anything computed
-from a detached tensor contributes exactly zero gradient upstream.
+they saved: a ReLU's mask, one byte an entry; matmul's two operands;
+conv2d's input view and at most one chunk, about 1 MiB, of its column
+matrix. A primitive records a node only when some input is a tensor on
+the active tape, so plain math run under a tape stays off it. Tensors
+without a tape handle are plain immutable values; :func:`detach` drops
+the handle, so anything computed from a detached tensor contributes
+exactly zero gradient upstream.
+
+``conv2d`` and ``matmul`` take their bias and an optional ReLU into the
+same node: both are applied in place on the GEMM's output, and backward
+masks the node's incoming gradient in place, once, for all its vjps.
+That is safe because a node owns its incoming gradient (see
+:class:`Tape`).
 
 All arithmetic is 64-bit. Any primitive that produces a NaN or Inf raises
 :class:`FloatingPointError` immediately instead of letting the poison
-propagate.
+propagate; a fused ReLU is checked on its input, so a -inf
+pre-activation raises too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -113,7 +121,14 @@ def _active_tape() -> "Tape | None":
 
 class Tape:
     """Records primitives in creation order; a DAG by construction. Single-use:
-    ``backward`` frees each node's saved arrays and gradient as it passes."""
+    ``backward`` frees each node's saved arrays and gradient as it passes.
+
+    A node owns the gradient that backward hands it, and its vjps may write
+    to it. Every vjp returns a fresh array, except that ``add``'s and
+    ``sub``'s first input and ``reshape`` get the node's own gradient (or a
+    view of it), which that node never reads again; and a parent reached
+    by two edges gets the fresh sum of its contributions.
+    """
 
     def __init__(self):
         self._nodes: list[_Node] = []
@@ -190,16 +205,36 @@ def _as_value(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callable]) -> Tensor:
-    """Wrap a primitive's output. A node is recorded only when some input
-    is a tensor on the active tape; those inputs become its edges, and
-    ``vjps[i]`` maps the output gradient to input i's gradient."""
+def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callable],
+            relu: bool = False) -> Tensor:
+    """Wrap a primitive's output after one finiteness check. A node is
+    recorded only when some input is a tensor on the active tape; those
+    inputs become its edges, and ``vjps[i]`` maps the output gradient to
+    input i's gradient.
+
+    With ``relu``, the check reads the values before the ReLU, which is
+    then applied to ``out`` in place. Whichever vjp backward calls first
+    multiplies the node's gradient by the mask in place (``g * mask``
+    gives the same bits, -0.0 included), and the others read that."""
     _check_finite(out, kind)
     tape = _active_tape()
-    if tape is None:
-        return Tensor._checked(out, None, None)
-    edges = [(inp.node_id, vjp) for inp, vjp in zip(inputs, vjps)
-             if isinstance(inp, Tensor) and inp.tape is tape]
+    edges = [] if tape is None else [(inp.node_id, vjp) for inp, vjp in zip(inputs, vjps)
+                                     if isinstance(inp, Tensor) and inp.tape is tape]
+    if relu:
+        if edges:
+            pending = [out > 0.0]
+
+            def masked(vjp):
+                @wraps(vjp)
+                def vjp_masked(g):
+                    if pending:
+                        g *= pending.pop()
+                    return vjp(g)
+                return vjp_masked
+
+            edges = [(pid, masked(vjp)) for pid, vjp in edges]
+        # np.maximum keeps out's memory layout and turns -0.0 into +0.0
+        np.maximum(out, 0.0, out=out)
     if not edges:
         return Tensor._checked(out, None, None)
     return Tensor._checked(out, tape, tape._record(kind, edges, out.shape))
@@ -251,16 +286,24 @@ def mul(a, b) -> Tensor:
     return _result("elementwise_mul", av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """``a @ b`` for 2-D a and b, one node whatever the options: a 1-D
+    ``bias`` is added to every row, and then, with ``relu``, the ReLU is
+    applied, each in place on the GEMM's output. The values and gradients
+    are those of ``relu(add(matmul(a, b), bias))``, bit for bit."""
     av, bv = _as_value(a), _as_value(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-    return _result(
-        "matmul",
-        av @ bv,
-        (a, b),
-        (lambda g: g @ bv.T, lambda g: av.T @ g),
-    )
+    out = av @ bv
+    inputs, vjps = [a, b], [lambda g: g @ bv.T, lambda g: av.T @ g]
+    if bias is not None:
+        biasv = _as_value(bias)
+        if biasv.shape != (bv.shape[1],):
+            raise ValueError(f"matmul: bias shape {biasv.shape} != ({bv.shape[1]},)")
+        out += biasv
+        inputs.append(bias)
+        vjps.append(lambda g: g.sum(axis=0))
+    return _result("matmul", out, inputs, vjps, relu)
 
 
 def relu(t) -> Tensor:
@@ -413,8 +456,11 @@ def _conv_plan(h: int, wdt: int, kh: int, kw: int, stride: int, pad: int) -> tup
     return taps, tuple(pad_regions), row_taps, col_taps
 
 
-def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution, NCHW input, OIHW weight, per-channel bias.
+def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor:
+    """2-D convolution, NCHW input, OIHW weight, per-channel bias, and with
+    ``relu`` a ReLU: one node, whose values and gradients are those of
+    ``relu(conv2d(x, w, b))``, bit for bit. The bias and the ReLU are
+    applied in place on the GEMM's output.
 
     The work is done channels-last, on chunks of the batch holding about
     ``_CONV_CHUNK_ELEMENTS`` column entries each. A chunk is unfolded
@@ -437,8 +483,8 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
 
     Any input layout is accepted, but the output is an NCHW-shaped view
     of channels-last memory, the GEMM's natural result. So when one
-    conv2d reads another's output (through ``relu``, which keeps the
-    memory order), its NHWC view is free and no layout copy is made.
+    conv2d reads another's output, its NHWC view is free and no layout
+    copy is made.
     """
     xv, wv, bv = _as_value(x), _as_value(w), _as_value(b)
     if xv.ndim != 4 or wv.ndim != 4:
@@ -503,7 +549,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0) -> Tensor:
     def vjp_b(g):
         return g.sum(axis=(0, 2, 3))
 
-    return _result("conv2d", out, (x, w, b), (vjp_x, vjp_w, vjp_b))
+    return _result("conv2d", out, (x, w, b), (vjp_x, vjp_w, vjp_b), relu)
 
 
 PRIMITIVE_KINDS: Mapping[str, Callable] = {

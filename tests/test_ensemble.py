@@ -1,4 +1,9 @@
+import json
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bke import ensemble
 from bke import tensor as T
 from bke.data import SplitSpec, synth_blobs
 from bke.ensemble import (
@@ -245,6 +251,46 @@ def test_soft_targets_is_the_graph_then_either_route():
         iterated = soft_targets(features, logits, 0.6, 1.5, iters=t)
         assert iterated.method == f"iterative({t})"
         np.testing.assert_array_equal(iterated.values, propagate_iterative(y_hat, p, 0.6, t).values)
+
+
+def test_soft_targets_frees_the_graph_before_the_solve(monkeypatch):
+    # the normalized graph goes to the closed form as a call temporary, and
+    # the closed form drops it once I - omega*Yhat is built: at solve's own
+    # copy, two N x N arrays are alive, not three
+    rng = np.random.default_rng(37)
+    features, logits = rng.normal(size=(64, 4)), rng.normal(size=(64, 3))
+    want = soft_targets(features, logits, 0.5, 1.0).values
+    normalize, solve = ensemble.normalize_similarity, np.linalg.solve
+    graphs, alive_at_solve = [], []
+
+    def normalize_hook(raw):
+        y_hat = normalize(raw)
+        graphs.append(weakref.ref(y_hat))
+        return y_hat
+
+    def solve_hook(a, b):
+        alive_at_solve.append(graphs[-1]() is not None)
+        return solve(a, b)
+
+    monkeypatch.setattr(ensemble, "normalize_similarity", normalize_hook)
+    monkeypatch.setattr(np.linalg, "solve", solve_hook)
+    got = soft_targets(features, logits, 0.5, 1.0).values
+    assert alive_at_solve == [False]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_traced_benchmark_checks_the_largest_soft_target_batch():
+    # bkebench's tracer rebuilds Q from the arrays it captures through
+    # similarity_matrix, probabilities and soft_targets_closed_form, so
+    # soft_targets has to keep reaching Q through those public functions
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "bkebench/run.py", "--workload", "sweep_batch", "--seed", "4",
+         "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600, check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True, run.stdout
+    assert result["metrics"]["ensemble.soft_targets_max_n"]["value"] == 512
 
 
 # --- loss -----------------------------------------------------------------------

@@ -240,6 +240,19 @@ def test_pretrain_deterministic_checkpoints(tmp_path):
     assert h1 == h2
 
 
+def test_pretrain_on_u8_pixels_matches_their_floats_byte_for_byte(tmp_path):
+    # the u8 pixels are converted a batch at a time, as images_at converts them
+    pixels = np.random.default_rng(11).integers(0, 256, size=(10, 1, 8, 8), dtype=np.uint8)
+    config = SslConfig(epochs=2, batch_size=4, learning_rate=0.05, zeta=0.9, seed=3)
+    outputs = []
+    for name, images in (("u8", pixels), ("float", pixels / 255.0)):
+        ckpt, log = tmp_path / f"{name}.bkec", tmp_path / f"{name}.csv"
+        _, history = pretrain(images, config, specs=TINY, checkpoint_path=ckpt)
+        write_loss_csv(history, log)
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_pretrain_loss_csv_format(tmp_path):
     images = images_fixture(n=6)
     config = SslConfig(epochs=3, batch_size=4, seed=2)

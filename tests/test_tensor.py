@@ -643,6 +643,157 @@ def test_conv2d_matches_the_padded_buffer_reference_bit_for_bit(stride, pad, cin
                     assert got.tobytes() == expected.tobytes(), (x_shape, layout, images)
 
 
+# --- fused bias and ReLU: one node, the same bits as the separate nodes -------
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def output_and_grads(values, forward, consumer):
+    """The output of forward(*leaves) and every leaf's gradient of
+    consumer(output), on one fresh tape."""
+    with T.Tape() as tape:
+        leaves = [tape.leaf(v) for v in values]
+        y = forward(*leaves)
+        grads = tape.backward(consumer(y))
+    return y.data, [grads[leaf.node_id].data for leaf in leaves]
+
+
+def fused_consumers(rng, shape):
+    """Losses that reach the output through add (which hands it its own
+    gradient), through two consumers, and through global average pooling,
+    as the encoder's last stage is."""
+    c, g = rng.normal(size=shape), rng.normal(size=shape)
+    cases = {
+        "add": lambda y: T.mean_all(T.mul(T.add(y, T.Tensor(c)), T.Tensor(g))),
+        "two": lambda y: T.add(T.mean_all(T.mul(y, T.Tensor(g))), T.mean_all(T.mul(y, y))),
+    }
+    if len(shape) == 4:
+        gp = rng.normal(size=shape[:2])
+        cases["pool"] = lambda y: T.mean_all(T.mul(T.global_avg_pool(y), T.Tensor(gp)))
+    return cases
+
+
+@pytest.mark.parametrize("stride,pad", CONV_CASES)
+@pytest.mark.parametrize("images", [None, 2])
+@pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+def test_conv2d_relu_matches_separate_relu_bit_for_bit(stride, pad, images, layout, monkeypatch):
+    rng = np.random.default_rng(53 + stride + 10 * pad)
+    x = rng.normal(size=(5, 3, 6, 5))
+    if layout == "nhwc":
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    b[0] = -1e3  # a dead channel: its bias gradient is a sum of signed zeros
+    if images is not None:
+        images_per_chunk(monkeypatch, x.shape, w.shape, stride, pad, images)  # chunks of 2, 2, 1
+    shape = T.conv2d(x, w, b, stride=stride, pad=pad).shape
+    for name, consumer in fused_consumers(rng, shape).items():
+        fused = output_and_grads(
+            (x, w, b), lambda *p: T.conv2d(*p, stride=stride, pad=pad, relu=True), consumer)
+        separate = output_and_grads(
+            (x, w, b), lambda *p: T.relu(T.conv2d(*p, stride=stride, pad=pad)), consumer)
+        assert fused[0].strides == separate[0].strides, name
+        for got, want in zip([fused[0], *fused[1]], [separate[0], *separate[1]]):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_matmul_bias_relu_matches_separate_nodes_bit_for_bit(relu, with_bias):
+    rng = np.random.default_rng(59)
+    a, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    b[0] = -1e3
+
+    def separate(a, w, b):
+        y = T.matmul(a, w)
+        y = T.add(y, b) if with_bias else y
+        return T.relu(y) if relu else y
+
+    def fused(a, w, b):
+        return T.matmul(a, w, b if with_bias else None, relu=relu)
+
+    for name, consumer in fused_consumers(rng, (6, 5)).items():
+        got = output_and_grads((a, w, b), fused, consumer)
+        want = output_and_grads((a, w, b), separate, consumer)
+        for g, v in zip([got[0], *got[1]], [want[0], *want[1]]):
+            assert_same_bits(g, v)
+
+
+def test_fused_relu_records_one_node():
+    rng = np.random.default_rng(61)
+    with T.Tape() as tape:
+        x, w, b = (tape.leaf(v) for v in (rng.normal(size=(2, 1, 4, 4)), rng.normal(size=(3, 1, 3, 3)),
+                                          rng.normal(size=3)))
+        before = len(tape)
+        y = T.conv2d(x, w, b, pad=1, relu=True)
+        T.matmul(T.global_avg_pool(y), rng.normal(size=(3, 2)), np.zeros(2), relu=True)
+        assert len(tape) == before + 3
+        assert [node.kind for node in tape._nodes[before:]] == ["conv2d", "global_avg_pool", "matmul"]
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.nan])
+def test_fused_relu_checks_its_input(bad):
+    # the ReLU would turn -inf into 0.0, so the check reads the values before it
+    rng = np.random.default_rng(67)
+    x, w = rng.normal(size=(2, 1, 4, 4)), rng.normal(size=(3, 1, 3, 3))
+    b = np.array([0.0, bad, 0.0])
+    with T.Tape() as tape:
+        xl, wl = tape.leaf(x), tape.leaf(w)
+        with pytest.raises(FloatingPointError, match="conv2d produced non-finite"):
+            T.conv2d(xl, wl, b, pad=1, relu=True)
+        with pytest.raises(FloatingPointError, match="matmul produced non-finite"):
+            T.matmul(xl.data.reshape(2, 16), rng.normal(size=(16, 3)), b, relu=True)
+    with pytest.raises(FloatingPointError, match="matmul produced non-finite"):
+        T.matmul(np.ones((1, 1)), np.ones((1, 3)), b, relu=True)
+
+
+def test_matmul_rejects_a_bias_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"matmul: bias shape \(3,\) != \(2,\)"):
+        T.matmul(np.ones((2, 4)), np.ones((4, 2)), np.ones(3))
+
+
+def test_gradcheck_fused_conv_and_mlp():
+    rng = np.random.default_rng(71)
+    params = {"w": rng.normal(size=(3, 2, 3, 3)) * 0.5, "b": rng.normal(size=3),
+              "w1": rng.normal(size=(3, 4)), "b1": rng.normal(size=4)}
+    x = rng.normal(size=(2, 2, 5, 5))
+
+    def f(p):
+        y = T.conv2d(T.Tensor(x), p["w"], p["b"], stride=2, pad=1, relu=True)
+        h = T.matmul(T.global_avg_pool(y), p["w1"], p["b1"], relu=True)
+        return T.mean_all(T.mul(h, h))
+
+    report = T.finite_difference_check(f, params)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_param}"
+
+
+def test_conv2d_relu_masks_the_gradient_in_place():
+    # batch 128 at stride 1: the output is 16x the input, so a second
+    # gradient array would lift backward's peak above the separate relu's
+    rng = np.random.default_rng(73)
+    x, w, b = rng.normal(size=(128, 1, 16, 16)), rng.normal(size=(16, 1, 3, 3)), rng.normal(size=16)
+    T.conv2d(x[:1], w, b, pad=1)  # the geometry's plan is cached from here on
+
+    def backward_peak(forward):
+        tracemalloc.start()
+        try:
+            with T.Tape() as tape:
+                loss = T.mean_all(forward(*(tape.leaf(v) for v in (x, w, b))))
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    fused = backward_peak(lambda *p: T.conv2d(*p, pad=1, relu=True))
+    separate = backward_peak(lambda *p: T.relu(T.conv2d(*p, pad=1)))
+    assert fused < separate, f"fused backward peaked at {fused / separate:.3f}x the separate relu's"
+
+
 def test_conv2d_shape_errors():
     with pytest.raises(ValueError, match="channels"):
         T.conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 3, 3, 3)), np.zeros(1))
