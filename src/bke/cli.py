@@ -20,17 +20,28 @@ Datasets are referenced by prefix: ``<prefix>.bkei`` (images),
 ``<prefix>.bkel`` (labels), ``<prefix>.split.json`` (train/test split).
 Every dataset command reads all three; a missing split manifest is an
 error.
+
+``sweep`` trains its grid points in two processes when it can: a child
+made with ``os.fork`` trains the first half of the grid while the parent
+trains the rest, and the parent prints the rows in grid order. It does so
+only for a grid of two or more points, on two or more CPUs, and when
+numpy's OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``); otherwise
+it trains the points one after another. Both ways write the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -300,19 +311,109 @@ def _parse_grid(param: str, raw: str) -> list:
     return values
 
 
+_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS bundled with numpy's wheel, or None
+    when its library or its getter cannot be found."""
+    for lib in sorted(_NUMPY_LIBS.glob("libscipy_openblas*.so")):
+        try:
+            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            return None
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        return getter()
+    return None
+
+
+def _sweep_forks(n_points: int) -> bool:
+    """Whether a sweep trains half its grid in a forked child. Two processes
+    each running a multi-threaded BLAS oversubscribe the cores and take
+    several times as long as one process, so both need a one-thread BLAS;
+    a count that cannot be read keeps the sweep in one process. With one
+    BLAS thread the process runs no other thread, so a fork is safe."""
+    return n_points >= 2 and _blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
+
+
+def _outcomes(train: Callable[[int], tuple], indices) -> Iterator:
+    """train(i) for each index, until one raises: its exception is the last outcome."""
+    for i in indices:
+        try:
+            outcome = train(i)
+        except Exception as exc:
+            outcome = exc
+        yield outcome
+        if isinstance(outcome, Exception):
+            return
+
+
+def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> list:
+    """The outcomes of every grid point: a forked child trains the first half
+    and pickles its outcomes through a pipe while this process trains the
+    rest. A point the child left without an outcome gets an error naming
+    the child's points and its exit status."""
+    half = len(labels) // 2
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # os._exit: no flush of the parent's buffered stdout, no exit handlers
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                for outcome in _outcomes(train, range(half)):
+                    pickle.dump(outcome, pipe)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            ours = list(_outcomes(train, range(half, len(labels))))
+            theirs = []
+            while True:
+                try:
+                    theirs.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    break
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    lost = [RuntimeError(f"the sweep's child process for {', '.join(labels[:half])} exited "
+                         f"with status {os.waitstatus_to_exitcode(status)} without a result "
+                         f"for {labels[i]}") for i in range(len(theirs), half)]
+    return theirs + lost + ours
+
+
 def _cmd_sweep(cfg: dict) -> int:
     grid = _parse_grid(cfg["param"], cfg["values"])
     # every grid point's config is built (and so checked) before any training
     configs = [_config(BkeConfig, {**cfg, cfg["param"]: value}) for value in grid]
     container, split = _finetune_data(cfg)
-    rows = []
-    for value, config in zip(grid, configs):
+    labels = [f"{cfg['param']}={value}" for value in grid]
+
+    def train(i: int) -> tuple[float, float]:
         try:
-            _, _, report = finetune(container, split, cfg["checkpoint"], config)
+            _, _, report = finetune(container, split, cfg["checkpoint"], configs[i])
         except CollapseError as exc:
-            raise CollapseError(f"{cfg['param']}={value}: {exc}") from exc
-        rows.append((cfg["param"], value, report.means["hm"], report.means["acc"]))
-        print(f"{cfg['param']}={value}: hm {rows[-1][2]:.4f}, acc {rows[-1][3]:.4f}")
+            raise CollapseError(f"{labels[i]}: {exc}") from exc
+        return report.means["hm"], report.means["acc"]
+
+    if _sweep_forks(len(grid)):
+        outcomes = _forked_outcomes(train, labels)
+    else:
+        outcomes = _outcomes(train, range(len(grid)))
+    rows = []
+    for value, label, outcome in zip(grid, labels, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        hm, acc = outcome
+        rows.append((cfg["param"], value, hm, acc))
+        print(f"{label}: hm {hm:.4f}, acc {acc:.4f}")
     out_dir = Path(cfg["out"])
     write_csv(out_dir / "sweep.csv", ("param", "value", "hm", "acc"), rows)
     _echo_config("sweep", cfg, out_dir / "config.json")

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bke import cli
 from bke.cli import COMMANDS, DEFAULT_GRIDS, main
 from bke.data import read_container, read_split
 from bke.metrics import read_epoch_csv
@@ -671,6 +673,190 @@ def test_sweep_rejects_bad_grid_value(tmp_path, capsys):
     assert run("sweep", "--data", prefix, "--checkpoint", "x", "--out", tmp_path / "s",
                "--param", "omega", "--values", "0.2,oops") == 1
     assert "bad grid value 'oops'" in capsys.readouterr().err
+
+
+# --- sweep in two processes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus,threads,points,forks", [
+    ({0}, 1, 5, False),          # one CPU
+    ({0, 1}, 2, 5, False),       # a two-thread BLAS would oversubscribe the cores
+    ({0, 1}, None, 5, False),    # BLAS thread count unknown
+    ({0, 1}, 1, 1, False),       # one grid point
+    ({0, 1}, 1, 2, True),
+    ({0, 1, 2, 3}, 1, 5, True),
+])
+def test_sweep_forks_only_on_two_cpus_at_one_blas_thread(monkeypatch, cpus, threads, points,
+                                                          forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(cli, "_blas_threads", lambda: threads)
+    assert cli._sweep_forks(points) is forks
+
+
+def test_blas_thread_reader_reads_numpys_openblas():
+    threads = cli._blas_threads()
+    assert type(threads) is int and threads >= 1
+
+
+def test_blas_thread_reader_is_none_without_library_or_symbol(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_NUMPY_LIBS", tmp_path)
+    assert cli._blas_threads() is None
+    # a file of that name that is no library
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert cli._blas_threads() is None
+    # a library without the getter
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+    assert cli._blas_threads() is None
+
+
+IDENTITY_SCRIPT = """
+import contextlib, io, json, os, shutil, sys
+from pathlib import Path
+from bke import cli
+
+forks = []
+fork = os.fork
+def counting_fork():
+    forks.append(1)
+    return fork()
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {0, 1}  # so one-CPU machines fork too
+
+def sweep(param):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["sweep", "--data", "ds", "--checkpoint", "pre/checkpoint.bkec",
+                         "--out", "sw", "--param", param, "--epochs", "1", "--seed", "2"])
+    files = {p.name: p.read_text() for p in sorted(Path("sw").iterdir())}
+    shutil.rmtree("sw")
+    return [code, stdout.getvalue(), files]
+
+result = {"blas_threads": cli._blas_threads(), "forked": {}, "serial": {}}
+for param in cli.DEFAULT_GRIDS:
+    result["forked"][param] = sweep(param)
+result["forks"] = len(forks)
+cli._sweep_forks = lambda n: False
+for param in cli.DEFAULT_GRIDS:
+    result["serial"][param] = sweep(param)
+result["forks_after_serial"] = len(forks)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    result["children_left"] = True
+except ChildProcessError:
+    result["children_left"] = False
+print(json.dumps(result))
+"""
+
+
+def test_forked_sweep_matches_serial_sweep_byte_for_byte(tmp_path):
+    prefix = make_dataset(tmp_path)
+    make_checkpoint(tmp_path, prefix)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", IDENTITY_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["blas_threads"] == 1
+    assert result["forks"] == len(DEFAULT_GRIDS) and result["forks_after_serial"] == 4
+    assert result["children_left"] is False
+    assert result["forked"] == result["serial"]
+    for param, (code, stdout, files) in result["forked"].items():
+        assert code == 0 and sorted(files) == ["config.json", "sweep.csv"]
+        assert len(stdout.splitlines()) == len(DEFAULT_GRIDS[param]) + 1
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sweep_inputs")
+    prefix = root / "ds"
+    assert run("synth", "--out", prefix, "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 1) == 0
+    assert run("pretrain", "--data", prefix, "--out", root / "pre", "--epochs", 1,
+               "--batch-size", 16, "--seed", 1) == 0
+    return prefix, root / "pre" / "checkpoint.bkec"
+
+
+def failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, forked, *grid):
+    """The stdout and stderr of a sweep that must fail, and the number of
+    forks it made; it leaves no output, no .partial and no child."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_sweep_forks", lambda n: forked and n >= 2)
+    prefix, checkpoint = sweep_inputs
+    out = tmp_path / ("forked" if forked else "serial")
+    assert run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+               "--epochs", 1, *grid) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and list(tmp_path.rglob("*.partial")) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.out, captured.err, len(forks)
+
+
+BLOW_UP = ("error: lambda=1e+300: finetune failed at epoch 0, evaluating the test split: "
+           "conv2d produced non-finite values\n")
+
+
+@pytest.mark.parametrize("grid,rows,message,forks", [
+    (("--param", "lambda", "--values", "1e300,1"), 0, BLOW_UP, 1),          # in the child
+    (("--param", "lambda", "--values", "1,1e300"), 1, BLOW_UP, 1),          # in the parent
+    (("--param", "lambda", "--values", "1,1e300,2,1e301"), 1, BLOW_UP, 1),  # first of both
+    (("--param", "omega", "--values", "0.2,oops"), 0,
+     "error: bad grid value 'oops' for omega\n", 0),
+])
+def test_failed_sweep_reads_the_same_forked_and_serial(tmp_path, capsys, monkeypatch,
+                                                       sweep_inputs, grid, rows, message, forks):
+    out, err, forked = failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, True, *grid)
+    assert (err, forked) == (message, forks) and len(out.splitlines()) == rows
+    assert failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, False, *grid) == (
+        out, err, 0)
+
+
+def test_sweep_child_that_dies_without_a_result_is_named(tmp_path, capsys, monkeypatch,
+                                                         sweep_inputs):
+    real = cli.finetune
+
+    def dying(container, split, checkpoint, config):
+        if config.lam == 2.0:
+            os._exit(3)
+        return real(container, split, checkpoint, config)
+
+    monkeypatch.setattr(cli, "finetune", dying)
+    out, err, forks = failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, True,
+                                   "--param", "lambda", "--values", "1,2,3,4")
+    assert out.startswith("lambda=1.0: hm ") and len(out.splitlines()) == 1
+    assert (err, forks) == (
+        "error: the sweep's child process for lambda=1.0, lambda=2.0 exited with status 3 "
+        "without a result for lambda=2.0\n", 1)
+
+
+def test_sweep_parent_interrupted_kills_and_reaps_its_child(tmp_path, monkeypatch,
+                                                            sweep_inputs):
+    parent = os.getpid()
+
+    def stuck(container, split, checkpoint, config):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "finetune", stuck)
+    monkeypatch.setattr(cli, "_sweep_forks", lambda n: True)
+    prefix, checkpoint = sweep_inputs
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", tmp_path / "sw",
+            "--param", "tau", "--values", "1,2")
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "sw").exists()
 
 
 # --- one process, many calls ------------------------------------------------------
