@@ -25,8 +25,9 @@ error.
 made with ``os.fork`` trains the first half of the grid while the parent
 trains the rest, and the parent prints the rows in grid order. It does so
 only for a grid of two or more points, on two or more CPUs, and when
-numpy's OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``); otherwise
-it trains the points one after another. Both ways write the same bytes.
+numpy's OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``); otherwise,
+or when the child cannot be made, it trains the points one after another.
+Both ways write the same bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -348,14 +349,20 @@ def _outcomes(train: Callable[[int], tuple], indices) -> Iterator:
             return
 
 
-def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> list:
+def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterable:
     """The outcomes of every grid point: a forked child trains the first half
     and pickles its outcomes through a pipe while this process trains the
     rest. A point the child left without an outcome gets an error naming
-    the child's points and its exit status."""
+    the child's points and its exit status. When the fork fails, this
+    process trains every point itself."""
     half = len(labels) // 2
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _outcomes(train, range(len(labels)))
     if pid == 0:
         # os._exit: no flush of the parent's buffered stdout, no exit handlers
         code = 1

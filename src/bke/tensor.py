@@ -6,20 +6,18 @@ group, one leaf per name in sorted order. ``Tape.backward`` replays the
 records in reverse creation order exactly once, accumulating
 vector-Jacobian products into the leaves, and returns each leaf's
 gradient under its node id. A tape is single-use: as backward passes a
-node it frees the node's gradient and vjps, and with them the arrays
-they saved: a ReLU's mask, one byte an entry; matmul's two operands;
-conv2d's input view and at most one chunk, about 1 MiB, of its column
-matrix. A primitive records a node only when some input is a tensor on
-the active tape, so plain math run under a tape stays off it. Tensors
-without a tape handle are plain immutable values; :func:`detach` drops
-the handle, so anything computed from a detached tensor contributes
-exactly zero gradient upstream.
+node it frees the node's gradient, mask and vjps, and with them the
+arrays they saved: a ReLU's mask, one byte an entry; matmul's two
+operands; conv2d's input view and at most one chunk, about 1 MiB, of its
+column matrix. A primitive records a node only when some input is a
+tensor on the active tape, so plain math run under a tape stays off it.
+Tensors without a tape handle are plain immutable values; :func:`detach`
+drops the handle, so anything computed from a detached tensor
+contributes exactly zero gradient upstream.
 
 ``conv2d`` and ``matmul`` take their bias and an optional ReLU into the
-same node: both are applied in place on the GEMM's output, and backward
-masks the node's incoming gradient in place, once, for all its vjps.
-That is safe because a node owns its incoming gradient (see
-:class:`Tape`).
+same node: both are applied in place on the GEMM's output, and the node
+keeps the ReLU's mask for backward (see :class:`Tape`).
 
 All arithmetic is 64-bit. Any primitive that produces a NaN or Inf raises
 :class:`FloatingPointError` immediately instead of letting the poison
@@ -30,7 +28,7 @@ pre-activation raises too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -103,31 +101,31 @@ def detach(t: Tensor) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "edges", "shape")
+    __slots__ = ("kind", "edges", "shape", "mask")
 
     def __init__(self, kind: str, edges, shape):
         self.kind = kind
         # edges: list of (parent node id, vjp taking the output gradient)
         self.edges = edges
         self.shape = shape
+        self.mask = None  # a fused ReLU's, applied by Tape.backward
 
 
 _TAPE_STACK: list["Tape"] = []
-
-
-def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 class Tape:
     """Records primitives in creation order; a DAG by construction. Single-use:
     ``backward`` frees each node's saved arrays and gradient as it passes.
 
-    A node owns the gradient that backward hands it, and its vjps may write
-    to it. Every vjp returns a fresh array, except that ``add``'s and
-    ``sub``'s first input and ``reshape`` get the node's own gradient (or a
-    view of it), which that node never reads again; and a parent reached
-    by two edges gets the fresh sum of its contributions.
+    A node owns the gradient that backward hands it. Every vjp returns a
+    fresh array, except that ``add``'s and ``sub``'s first input and
+    ``reshape`` get the node's own gradient (or a view of it), which that
+    node never reads again; and a parent reached by two edges gets the
+    fresh sum of its contributions. The one in-place write to a gradient
+    is backward's: a node that fuses a ReLU holds its mask, and backward
+    multiplies the node's gradient by it once, before the first vjp runs
+    (``g * mask`` gives the same bits, -0.0 included), then frees it.
     """
 
     def __init__(self):
@@ -182,6 +180,9 @@ class Tape:
                 continue
             node = self._nodes[nid]
             edges, node.edges = node.edges, ()
+            if node.mask is not None:
+                g *= node.mask
+                node.mask = None
             grads[nid] = g if node.kind == "leaf" else None
             # last edge first: conv2d's weight vjp frees its chunk of columns before the input vjp
             while edges:
@@ -213,31 +214,21 @@ def _result(kind: str, out: np.ndarray, inputs: Sequence, vjps: Sequence[Callabl
     input i's gradient.
 
     With ``relu``, the check reads the values before the ReLU, which is
-    then applied to ``out`` in place. Whichever vjp backward calls first
-    multiplies the node's gradient by the mask in place (``g * mask``
-    gives the same bits, -0.0 included), and the others read that."""
+    then applied to ``out`` in place, and the node keeps the mask (see
+    :class:`Tape`)."""
     _check_finite(out, kind)
-    tape = _active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     edges = [] if tape is None else [(inp.node_id, vjp) for inp, vjp in zip(inputs, vjps)
                                      if isinstance(inp, Tensor) and inp.tape is tape]
+    mask = out > 0.0 if relu and edges else None
     if relu:
-        if edges:
-            pending = [out > 0.0]
-
-            def masked(vjp):
-                @wraps(vjp)
-                def vjp_masked(g):
-                    if pending:
-                        g *= pending.pop()
-                    return vjp(g)
-                return vjp_masked
-
-            edges = [(pid, masked(vjp)) for pid, vjp in edges]
         # np.maximum keeps out's memory layout and turns -0.0 into +0.0
         np.maximum(out, 0.0, out=out)
     if not edges:
         return Tensor._checked(out, None, None)
-    return Tensor._checked(out, tape, tape._record(kind, edges, out.shape))
+    nid = tape._record(kind, edges, out.shape)
+    tape._nodes[nid].mask = mask
+    return Tensor._checked(out, tape, nid)
 
 
 def _addsub_vjps(a: np.ndarray, b: np.ndarray, kind: str):
@@ -289,8 +280,9 @@ def mul(a, b) -> Tensor:
 def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     """``a @ b`` for 2-D a and b, one node whatever the options: a 1-D
     ``bias`` is added to every row, and then, with ``relu``, the ReLU is
-    applied, each in place on the GEMM's output. The values and gradients
-    are those of ``relu(add(matmul(a, b), bias))``, bit for bit."""
+    applied, each in place on the GEMM's output (the mask: see
+    :class:`Tape`). The values and gradients are those of
+    ``relu(add(matmul(a, b), bias))``, bit for bit."""
     av, bv = _as_value(a), _as_value(b)
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
@@ -460,7 +452,7 @@ def conv2d(x, w, b, stride: int = 1, pad: int = 0, relu: bool = False) -> Tensor
     """2-D convolution, NCHW input, OIHW weight, per-channel bias, and with
     ``relu`` a ReLU: one node, whose values and gradients are those of
     ``relu(conv2d(x, w, b))``, bit for bit. The bias and the ReLU are
-    applied in place on the GEMM's output.
+    applied in place on the GEMM's output (the mask: see :class:`Tape`).
 
     The work is done channels-last, on chunks of the batch holding about
     ``_CONV_CHUNK_ELEMENTS`` column entries each. A chunk is unfolded
@@ -570,6 +562,9 @@ PRIMITIVE_KINDS: Mapping[str, Callable] = {
 }
 
 
+_FD_STEP, _FD_TOL = 1e-5, 1e-4  # finite_difference_check's step and its bound on the error
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of comparing autodiff gradients against central differences."""
@@ -577,30 +572,23 @@ class GradCheckReport:
     max_rel_err: float
     worst_param: str
     n_components: int
-    tol: float
     per_param: dict[str, float]
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
+        return self.max_rel_err <= _FD_TOL
 
 
-def finite_difference_check(
-    f: Callable[[dict[str, Tensor]], Tensor],
-    params: dict[str, np.ndarray],
-    step: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradCheckReport:
+def finite_difference_check(f: Callable[[dict[str, Tensor]], Tensor],
+                            params: dict[str, np.ndarray]) -> GradCheckReport:
     """Compare autodiff gradients of ``f`` against central differences.
 
     ``f`` must be deterministic, take a mapping name -> Tensor, and
     return a scalar tensor. Every component of every parameter is
-    perturbed by ``+-step``. The relative error divides by
+    perturbed by ``+-_FD_STEP``. The relative error divides by
     ``max(|autodiff|, |fd|, 1e-3)``, so near-zero components are
     effectively compared absolutely at the 1e-3 scale.
     """
-    if step <= 0.0:
-        raise ValueError("finite_difference_check: step must be positive")
     arrays = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
 
     with Tape() as tape:
@@ -623,14 +611,14 @@ def finite_difference_check(
             n_components += 1
             bumped = dict(arrays)
             plus = arr.copy()
-            plus[idx] += step
+            plus[idx] += _FD_STEP
             bumped[name] = plus
             f_plus = eval_at(bumped)
             minus = arr.copy()
-            minus[idx] -= step
+            minus[idx] -= _FD_STEP
             bumped[name] = minus
             f_minus = eval_at(bumped)
-            fd = (f_plus - f_minus) / (2.0 * step)
+            fd = (f_plus - f_minus) / (2.0 * _FD_STEP)
             ad = float(auto[name][idx])
             rel = abs(ad - fd) / max(abs(ad), abs(fd), 1e-3)
             if rel > param_worst:
@@ -643,6 +631,5 @@ def finite_difference_check(
         max_rel_err=max_rel,
         worst_param=worst_param,
         n_components=n_components,
-        tol=tol,
         per_param=per_param,
     )

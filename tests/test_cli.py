@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -925,3 +927,41 @@ def test_run_sweep_script_writes_one_row_per_grid_value(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = (tmp_path / "tau" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + len(DEFAULT_GRIDS["tau"]) == 5
+
+
+def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, sweep_inputs):
+    prefix, checkpoint = sweep_inputs
+    out = tmp_path / "sw"
+
+    def sweep():
+        code = run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
+                   "--param", "tau", "--epochs", 1)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return code, capsys.readouterr().out, files
+
+    monkeypatch.setattr(cli, "_sweep_forks", lambda n: False)
+    serial = sweep()
+    pipes, forks = [], []
+    pipe = os.pipe
+
+    def recording_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(cli, "_sweep_forks", lambda n: True)
+    assert sweep() == serial
+    assert serial[0] == 0 and len(serial[1].splitlines()) == len(DEFAULT_GRIDS["tau"]) + 1
+    assert sorted(serial[2]) == ["config.json", "sweep.csv"]
+    assert len(pipes) == 1 and len(forks) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

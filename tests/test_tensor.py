@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import as_strided
 
 from bke import tensor as T
+from bke.models import BundleSpecs, encode, init_bundle, mlp_forward
 
 
 def finite_arrays(shape, lo=-10.0, hi=10.0):
@@ -792,6 +794,26 @@ def test_conv2d_relu_masks_the_gradient_in_place():
     fused = backward_peak(lambda *p: T.conv2d(*p, pad=1, relu=True))
     separate = backward_peak(lambda *p: T.relu(T.conv2d(*p, pad=1)))
     assert fused < separate, f"fused backward peaked at {fused / separate:.3f}x the separate relu's"
+
+
+def test_backward_frees_every_fused_mask_and_wraps_no_vjp():
+    bundle = init_bundle(BundleSpecs.default(8), 5)
+    images = np.random.default_rng(79).uniform(size=(4, 1, 8, 8))
+    with T.Tape() as tape:
+        enc, proj = tape.leaves(bundle.online_encoder), tape.leaves(bundle.online_projector)
+        loss = T.mean_all(mlp_forward(proj, encode(enc, bundle.specs.encoder, images)))
+    fused = [node for node in tape._nodes if node.mask is not None]
+    stages = len(bundle.specs.encoder.conv_stages)
+    assert [node.kind for node in fused] == ["conv2d"] * stages + ["matmul"]
+    for node in fused:
+        assert node.mask.dtype == bool
+        for _, vjp in node.edges:
+            assert vjp.__qualname__.startswith(f"{node.kind}.<locals>.")
+            assert not hasattr(vjp, "__wrapped__")
+    mask = weakref.ref(fused[0].mask)
+    tape.backward(loss)
+    assert all(node.mask is None for node in tape._nodes)
+    assert mask() is None
 
 
 def test_conv2d_shape_errors():

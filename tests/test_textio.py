@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +175,17 @@ def test_textio_write_artifact_is_the_only_writer():
     writers = {(path.name, scope) for path in sorted(src.glob("*.py"))
                for scope, _ in _writes(path.read_text(encoding="utf-8"))}
     assert writers == {("textio.py", "write_artifact")}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """bke imports nothing but the standard library, numpy and itself."""
+    src = Path(bke.__file__).parent
+    tops = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops.add(node.module.split(".")[0])
+    assert "numpy" in tops
+    assert tops - set(sys.stdlib_module_names) <= {"numpy", "bke"}
