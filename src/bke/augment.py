@@ -107,8 +107,13 @@ def _crop_table(side: int) -> tuple[np.ndarray, np.ndarray]:
     return sizes, cumulative
 
 
+def view_side(source_side: int) -> int:
+    """The side of the views drawn from a side-``source_side`` image."""
+    return source_side // 2
+
+
 def sample_views(states, source_side: int, count: int = 1) -> ViewParams:
-    """Draw ``count`` views of side ``source_side // 2`` from each lane
+    """Draw ``count`` views of side ``view_side(source_side)`` from each lane
     state, view k from the lane's draws 8k + 1 to 8k + 8: the ViewParams
     of all lanes' first views, then all lanes' second views, and so on. A
     crop box satisfies both the area and the aspect-ratio bounds exactly."""
@@ -125,7 +130,7 @@ def sample_views(states, source_side: int, count: int = 1) -> ViewParams:
     return ViewParams(np.column_stack([x, y, w, h]), u[3] < HFLIP_PROB,
                       uniform(u[4], *BRIGHTNESS_RANGE), uniform(u[5], *CONTRAST_RANGE),
                       np.where(u[6] < BLUR_PROB, uniform(u[7], *BLUR_SIGMA_RANGE), 0.0),
-                      np.full(len(w), source_side // 2))
+                      np.full(len(w), view_side(source_side)))
 
 
 def _gaussian_kernels(sigmas) -> np.ndarray:

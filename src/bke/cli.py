@@ -21,24 +21,31 @@ Datasets are referenced by prefix: ``<prefix>.bkei`` (images),
 Every dataset command reads all three; a missing split manifest is an
 error.
 
-``sweep`` trains its grid points in two processes when it can: a child
-made with ``os.fork`` trains the first half of the grid while the parent
-trains the rest, and the parent prints the rows in grid order. It does so
-only for a grid of two or more points, on two or more CPUs, and when
-numpy's OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``); otherwise,
-or when the child cannot be made, it trains the points one after another.
-Both ways write the same bytes.
+``sweep`` trains its grid points in two processes when it can: a forked
+child trains the first half of the grid while the parent trains the
+rest, and the parent prints the rows in grid order. It does so only for a
+grid of two or more points, on two or more CPUs, and when numpy's
+OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``; ``procs.fork_pays``);
+otherwise, or when the child cannot be made, it trains the points one
+after another. Both ways write the same bytes.
+
+``pretrain`` splits Phase I over two processes under the same rule, for
+two or more steps: a forked worker draws the views, applies the EMA and
+runs the target network while the parent trains the online network. The
+two are pinned to distinct CPUs and wait for each other by polling, since
+a worker asleep in a blocking read was woken onto the parent's CPU and
+made the run slower than one process; the parent's CPU set is restored
+when the run ends. The files, stdout and ``error:`` line are the bytes
+the one-process run gives (see ``selfsup.pretrain``).
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import os
 import pickle
-import signal
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -46,6 +53,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import procs
 from . import tensor as T
 from .data import (
     ContainerError,
@@ -312,31 +320,6 @@ def _parse_grid(param: str, raw: str) -> list:
     return values
 
 
-_NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-
-
-def _blas_threads() -> int | None:
-    """The thread count of the OpenBLAS bundled with numpy's wheel, or None
-    when its library or its getter cannot be found."""
-    for lib in sorted(_NUMPY_LIBS.glob("libscipy_openblas*.so")):
-        try:
-            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            return None
-        getter.argtypes, getter.restype = (), ctypes.c_int
-        return getter()
-    return None
-
-
-def _sweep_forks(n_points: int) -> bool:
-    """Whether a sweep trains half its grid in a forked child. Two processes
-    each running a multi-threaded BLAS oversubscribe the cores and take
-    several times as long as one process, so both need a one-thread BLAS;
-    a count that cannot be read keeps the sweep in one process. With one
-    BLAS thread the process runs no other thread, so a fork is safe."""
-    return n_points >= 2 and _blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
-
-
 def _outcomes(train: Callable[[int], tuple], indices) -> Iterator:
     """train(i) for each index, until one raises: its exception is the last outcome."""
     for i in indices:
@@ -357,26 +340,20 @@ def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterab
     process trains every point itself."""
     half = len(labels) // 2
     read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
+
+    def child() -> None:
         os.close(read_fd)
-        os.close(write_fd)
-        return _outcomes(train, range(len(labels)))
-    if pid == 0:
-        # os._exit: no flush of the parent's buffered stdout, no exit handlers
-        code = 1
-        try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            for outcome in _outcomes(train, range(half)):
+                pickle.dump(outcome, pipe)
+                pipe.flush()
+
+    with procs.forked(child) as worker:
+        if worker is None:
             os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                for outcome in _outcomes(train, range(half)):
-                    pickle.dump(outcome, pipe)
-                    pipe.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
+            os.close(write_fd)
+            return _outcomes(train, range(len(labels)))
+        os.close(write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
             ours = list(_outcomes(train, range(half, len(labels))))
             theirs = []
@@ -385,13 +362,8 @@ def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterab
                     theirs.append(pickle.load(pipe))
                 except (EOFError, pickle.UnpicklingError):
                     break
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
     lost = [RuntimeError(f"the sweep's child process for {', '.join(labels[:half])} exited "
-                         f"with status {os.waitstatus_to_exitcode(status)} without a result "
+                         f"with status {worker.exit_code} without a result "
                          f"for {labels[i]}") for i in range(len(theirs), half)]
     return theirs + lost + ours
 
@@ -410,7 +382,7 @@ def _cmd_sweep(cfg: dict) -> int:
             raise CollapseError(f"{labels[i]}: {exc}") from exc
         return report.means["hm"], report.means["acc"]
 
-    if _sweep_forks(len(grid)):
+    if procs.fork_pays(len(grid)):
         outcomes = _forked_outcomes(train, labels)
     else:
         outcomes = _outcomes(train, range(len(grid)))

@@ -11,17 +11,35 @@ Gradients update only the online parameters (SGD with momentum); the
 target follows by exponential moving average, psi <- zeta psi + (1-zeta) theta.
 Nothing on the online side is stop-gradiented; the only detached
 quantity is the target projection z2.
+
+A step is three pieces: the views and the target network's z2, the
+online network's step, and the EMA. ``ssl_step`` runs them in that order
+in one process. When ``procs.fork_pays`` allows, ``pretrain`` runs the
+first and the last in a forked worker instead, beside the online step of
+the parent: the worker draws step t's views while the parent trains on
+step t - 1's, then waits for the weights the parent publishes, applies
+the EMA and computes z2. The arrays pass through an anonymous shared
+mapping and each hand-over is a one-byte pipe event. The two processes
+are pinned to two CPUs and poll for events, because a worker asleep in
+a blocking read was woken onto the parent's CPU, which made the run
+slower than one process. No arithmetic is reordered, so the bytes of
+every artifact are those of the one-process run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
 from dataclasses import astuple, dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import procs
 from . import tensor as T
-from .augment import make_view_pair
+from .augment import make_view_pair, view_side
 from .data import batches
 from .models import (
     BundleSpecs,
@@ -105,6 +123,45 @@ def cross_model_loss(q1_prime, z2) -> T.Tensor:
     return _cosine_loss(q1_prime, z2, "cross_model_loss")
 
 
+def _target_projection(bundle: ModelBundle, v2: np.ndarray) -> np.ndarray:
+    """z2, the target network's projection of the second views. It runs
+    outside the tape: plain values, nothing recorded."""
+    return project(bundle.target_projector,
+                   encode(bundle.target_encoder, bundle.specs.encoder, v2)).data
+
+
+def _online_step(bundle: ModelBundle, optimizer: SgdMomentum, v1: np.ndarray, v2: np.ndarray,
+                 target: Callable[[], np.ndarray]) -> SslBatchOutputs:
+    """One SGD step of the online network on a view pair (in place);
+    target() gives z2 once both views are on the tape."""
+    spec = bundle.specs.encoder
+    with T.Tape() as tape:
+        trained = {group: tape.leaves(getattr(bundle, group))
+                   for group in ("online_encoder", "online_projector", "predictor")}
+        enc, proj, pred = trained.values()
+        feats1 = encode(enc, spec, v1)
+        q1 = predict(pred, project(proj, feats1))
+        q1p = predict(pred, project(proj, encode(enc, spec, v2)))
+        loss_cv = cross_view_loss(q1, q1p)
+        loss_cm = cross_model_loss(q1p, target())
+        loss_total = T.add(loss_cv, loss_cm)
+        grads = tape.backward(loss_total)
+
+    optimizer.step(bundle, trained, grads)
+    return SslBatchOutputs(
+        loss_cv=loss_cv.item(),
+        loss_cm=loss_cm.item(),
+        loss_total=loss_total.item(),
+        feature_std=float(feats1.data.std(axis=0).mean()),
+    )
+
+
+def _follow(bundle: ModelBundle, zeta: float) -> None:
+    """The EMA step of the target network toward the online one (in place)."""
+    bundle.target_encoder = ema_update(bundle.target_encoder, bundle.online_encoder, zeta)
+    bundle.target_projector = ema_update(bundle.target_projector, bundle.online_projector, zeta)
+
+
 def ssl_step(
     bundle: ModelBundle,
     images: np.ndarray,
@@ -115,34 +172,159 @@ def ssl_step(
     """One optimization step on a batch of source images (in place);
     image i draws its views from the lane state view_states[i]."""
     pair = make_view_pair(images, view_states)
-    v1, v2 = pair.v1, pair.v2
+    z2 = _target_projection(bundle, pair.v2)
+    out = _online_step(bundle, optimizer, pair.v1, pair.v2, lambda: z2)
+    _follow(bundle, config.zeta)
+    return out
 
-    spec = bundle.specs.encoder
-    # target forward runs outside the tape: plain values, nothing recorded
-    z2_val = project(bundle.target_projector, encode(bundle.target_encoder, spec, v2)).data
 
-    with T.Tape() as tape:
-        trained = {group: tape.leaves(getattr(bundle, group))
-                   for group in ("online_encoder", "online_projector", "predictor")}
-        enc, proj, pred = trained.values()
-        feats1 = encode(enc, spec, v1)
-        q1 = predict(pred, project(proj, feats1))
-        q1p = predict(pred, project(proj, encode(enc, spec, v2)))
-        loss_cv = cross_view_loss(q1, q1p)
-        loss_cm = cross_model_loss(q1p, z2_val)
-        loss_total = T.add(loss_cv, loss_cm)
-        grads = tape.backward(loss_total)
+_EMA_GROUPS = ("encoder", "projector")  # the groups with an online and a target twin
 
-    optimizer.step(bundle, trained, grads)
-    bundle.target_encoder = ema_update(bundle.target_encoder, bundle.online_encoder, config.zeta)
-    bundle.target_projector = ema_update(bundle.target_projector, bundle.online_projector, config.zeta)
 
-    return SslBatchOutputs(
-        loss_cv=loss_cv.item(),
-        loss_cm=loss_cm.item(),
-        loss_total=loss_total.item(),
-        feature_std=float(feats1.data.std(axis=0).mean()),
-    )
+class _SharedArrays:
+    """The arrays the two processes of a split Phase I exchange, in one
+    anonymous shared mapping: for each step parity a slot (v1, v2, z2) with
+    room for the largest batch, and theta, the online encoder and projector
+    the parent publishes after each step, which the worker overwrites with
+    the target network after the last one."""
+
+    def __init__(self, bundle: ModelBundle, n_max: int, source_side: int) -> None:
+        side = view_side(source_side)
+        online = {group: getattr(bundle, "online_" + group) for group in _EMA_GROUPS}
+        slot = [(n_max, 1, side, side)] * 2 + [(n_max, bundle.specs.projector.out_dim)]
+        shapes = slot * 2 + [a.shape for params in online.values() for a in params.values()]
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        ends = np.cumsum(sizes)
+        arrays = iter([flat[end - size:end].reshape(shape)
+                       for shape, size, end in zip(shapes, sizes, ends)])
+        self.slots = [[next(arrays) for _ in slot] for _ in range(2)]
+        self.theta = {group: {name: next(arrays) for name in params}
+                      for group, params in online.items()}
+
+    def slot(self, t: int, n: int) -> list[np.ndarray]:
+        """Step t's v1, v2 and z2 for a batch of n images."""
+        return [a[:n] for a in self.slots[t % 2]]
+
+    def put_theta(self, bundle: ModelBundle, twin: str) -> None:
+        """Copy the bundle's online or target (twin) encoder and projector into theta."""
+        for group, params in self.theta.items():
+            for name, value in getattr(bundle, f"{twin}_{group}").items():
+                params[name][...] = value
+
+
+def _worker_steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
+                  shared: _SharedArrays, events: procs.Events, out_fd: int) -> None:
+    """The worker's side of a split Phase I, on the bundle as it was before
+    the first step. For step t it draws the views into slot t, applies the
+    EMA with the theta the parent published after step t - 1 and writes z2
+    there; each of the two is one event. After the last step it applies
+    the last EMA and writes the target network over theta, one more event.
+    A failure is signalled, with its exception, in place of its event."""
+    try:
+        for group in _EMA_GROUPS:
+            setattr(bundle, "online_" + group, shared.theta[group])
+        t = 0
+        for epoch in range(config.epochs):
+            for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
+                v1, v2, z2 = shared.slot(t, len(batch))
+                states = substream_states(batch, config.seed, "augment", epoch)
+                pair = make_view_pair(np.divide(images[batch], scale, dtype=np.float64), states)
+                v1[...], v2[...] = pair.v1, pair.v2
+                procs.signal_event(out_fd)
+                events.wait(t)
+                if t:
+                    _follow(bundle, config.zeta)
+                z2[...] = _target_projection(bundle, v2)
+                procs.signal_event(out_fd)
+                t += 1
+        events.wait(t)
+        _follow(bundle, config.zeta)
+        shared.put_theta(bundle, "target")
+        procs.signal_event(out_fd)
+    except Exception as exc:
+        procs.signal_failure(out_fd, exc)
+
+
+class _SplitStep:
+    """The parent's side of a split Phase I, called as the step: the
+    online network's step on the worker's views and z2, then theta
+    published for the worker."""
+
+    def __init__(self, bundle: ModelBundle, optimizer: SgdMomentum, shared: _SharedArrays,
+                 worker: procs.Child, events: procs.Events, out_fd: int) -> None:
+        self.bundle, self.optimizer, self.shared = bundle, optimizer, shared
+        self.worker, self.events, self.out_fd = worker, events, out_fd
+        self.t = 0
+
+    def _await(self, n: int, where: str) -> None:
+        """Wait for the worker's first n events; raise its failure, or name its exit."""
+        try:
+            self.events.wait(n)
+        except procs.PeerError:
+            raise RuntimeError(f"pretrain's worker process exited with status "
+                               f"{self.worker.wait()} at {where}") from None
+
+    def __call__(self, epoch: int, batch: list[int]) -> SslBatchOutputs:
+        t, where = self.t, f"epoch {epoch}, batch starting {batch[0]}"
+        v1, v2, z2 = self.shared.slot(t, len(batch))
+        self._await(2 * t + 1, where)
+
+        def target() -> np.ndarray:
+            self._await(2 * t + 2, where)
+            return z2
+
+        try:
+            out = _online_step(self.bundle, self.optimizer, v1, v2, target)
+        except Exception:
+            target()  # a failure of the worker's in this step comes first in serial order
+            raise
+        self.shared.put_theta(self.bundle, "online")
+        procs.signal_event(self.out_fd)
+        self.t += 1
+        return out
+
+    def finish(self) -> None:
+        """Take the target network the worker's last EMA left."""
+        self._await(2 * self.t + 1, "the end of the last epoch")
+        for group, params in self.shared.theta.items():
+            setattr(self.bundle, "target_" + group,
+                    {name: value.copy() for name, value in params.items()})
+
+
+@contextlib.contextmanager
+def _split_step(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
+                optimizer: SgdMomentum) -> Iterator[_SplitStep | None]:
+    """The parent's step of a Phase I split over two processes, or None
+    when the run stays in this one: when ``procs.fork_pays`` says no for
+    its number of steps, or when the fork fails."""
+    n_steps = config.epochs * math.ceil(len(images) / config.batch_size)
+    if not procs.fork_pays(n_steps):
+        yield None
+        return
+    shared = _SharedArrays(bundle, min(config.batch_size, len(images)), images.shape[-1])
+    fds = os.pipe() + os.pipe()
+    from_worker, to_parent, from_parent, to_worker = fds
+
+    def work() -> None:
+        os.close(from_worker)
+        os.close(to_worker)
+        _worker_steps(images, scale, bundle, config, shared, procs.Events(from_parent),
+                      to_parent)
+
+    try:
+        with procs.forked(work, pin=True) as worker:
+            if worker is None:
+                yield None
+                return
+            os.close(to_parent)
+            os.close(from_parent)
+            fds = (from_worker, to_worker)
+            yield _SplitStep(bundle, optimizer, shared, worker, procs.Events(from_worker),
+                             to_worker)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def pretrain(
@@ -155,7 +337,12 @@ def pretrain(
 
     ``images`` are floats in [0, 1], or a container's u8 pixels, which are
     converted a batch at a time as ``p / 255.0``, the values
-    ``DatasetContainer.images_at`` gives."""
+    ``DatasetContainer.images_at`` gives.
+
+    The steps run in one process or, when ``procs.fork_pays`` allows, in
+    two (see the module docstring), with the same results either way. A
+    failure reads as in one process: within a step the first in serial
+    order wins, views, then target, then online network."""
     images = np.asarray(images)
     scale = 255.0 if images.dtype == np.uint8 else 1.0
     if images.ndim != 4 or len(images) == 0:
@@ -165,36 +352,43 @@ def pretrain(
     bundle = init_bundle(specs, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
 
+    def serial_step(epoch: int, batch: list[int]) -> SslBatchOutputs:
+        states = substream_states(batch, config.seed, "augment", epoch)
+        return ssl_step(bundle, np.divide(images[batch], scale, dtype=np.float64),
+                        config, optimizer, states)
+
     history: list[SslEpochLog] = []
     flat_epochs = 0
-    for epoch in range(config.epochs):
-        sums = np.zeros(3)
-        count = 0
-        std_sum = 0.0  # over batches of >= 2 images: one image has zero std by definition
-        std_count = 0
-        for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
-            states = substream_states(batch, config.seed, "augment", epoch)
-            try:
-                out = ssl_step(bundle, np.divide(images[batch], scale, dtype=np.float64),
-                               config, optimizer, states)
-            except (FloatingPointError, ValueError) as exc:
+    with _split_step(images, scale, bundle, config, optimizer) as split:
+        step = serial_step if split is None else split
+        for epoch in range(config.epochs):
+            sums = np.zeros(3)
+            count = 0
+            std_sum = 0.0  # over batches of >= 2 images: one image has zero std by definition
+            std_count = 0
+            for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
+                try:
+                    out = step(epoch, batch)
+                except (FloatingPointError, ValueError) as exc:
+                    raise CollapseError(
+                        f"pretrain failed at epoch {epoch}, batch starting {batch[0]}: {exc}"
+                    ) from exc
+                n = len(batch)
+                sums += n * np.array([out.loss_cv, out.loss_cm, out.loss_total])
+                count += n
+                if n >= 2:
+                    std_sum += n * out.feature_std
+                    std_count += n
+            history.append(SslEpochLog(epoch, *(sums / count)))
+            flat = std_count > 0 and std_sum / std_count < COLLAPSE_STD_THRESHOLD
+            flat_epochs = flat_epochs + 1 if flat else 0
+            if flat_epochs >= COLLAPSE_PATIENCE:
                 raise CollapseError(
-                    f"pretrain failed at epoch {epoch}, batch starting {batch[0]}: {exc}"
-                ) from exc
-            n = len(batch)
-            sums += n * np.array([out.loss_cv, out.loss_cm, out.loss_total])
-            count += n
-            if n >= 2:
-                std_sum += n * out.feature_std
-                std_count += n
-        history.append(SslEpochLog(epoch, *(sums / count)))
-        flat = std_count > 0 and std_sum / std_count < COLLAPSE_STD_THRESHOLD
-        flat_epochs = flat_epochs + 1 if flat else 0
-        if flat_epochs >= COLLAPSE_PATIENCE:
-            raise CollapseError(
-                f"features collapsed: mean std < {COLLAPSE_STD_THRESHOLD:g} "
-                f"for {COLLAPSE_PATIENCE} consecutive epochs (through epoch {epoch})"
-            )
+                    f"features collapsed: mean std < {COLLAPSE_STD_THRESHOLD:g} "
+                    f"for {COLLAPSE_PATIENCE} consecutive epochs (through epoch {epoch})"
+                )
+        if split is not None:
+            split.finish()
 
     if checkpoint_path is not None:
         save_checkpoint(bundle, checkpoint_path)

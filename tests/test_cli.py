@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bke import cli
+from bke import cli, procs
 from bke.cli import COMMANDS, DEFAULT_GRIDS, main
 from bke.data import read_container, read_split
 from bke.metrics import read_epoch_csv
@@ -691,30 +691,30 @@ def test_sweep_rejects_bad_grid_value(tmp_path, capsys):
 def test_sweep_forks_only_on_two_cpus_at_one_blas_thread(monkeypatch, cpus, threads, points,
                                                           forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(cli, "_blas_threads", lambda: threads)
-    assert cli._sweep_forks(points) is forks
+    monkeypatch.setattr(procs, "blas_threads", lambda: threads)
+    assert procs.fork_pays(points) is forks
 
 
 def test_blas_thread_reader_reads_numpys_openblas():
-    threads = cli._blas_threads()
+    threads = procs.blas_threads()
     assert type(threads) is int and threads >= 1
 
 
 def test_blas_thread_reader_is_none_without_library_or_symbol(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_NUMPY_LIBS", tmp_path)
-    assert cli._blas_threads() is None
+    monkeypatch.setattr(procs, "_NUMPY_LIBS", tmp_path)
+    assert procs.blas_threads() is None
     # a file of that name that is no library
     (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-    assert cli._blas_threads() is None
+    assert procs.blas_threads() is None
     # a library without the getter
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
-    assert cli._blas_threads() is None
+    monkeypatch.setattr(procs.ctypes, "CDLL", lambda path: object())
+    assert procs.blas_threads() is None
 
 
 IDENTITY_SCRIPT = """
 import contextlib, io, json, os, shutil, sys
 from pathlib import Path
-from bke import cli
+from bke import cli, procs
 
 forks = []
 fork = os.fork
@@ -728,16 +728,17 @@ def sweep(param):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["sweep", "--data", "ds", "--checkpoint", "pre/checkpoint.bkec",
-                         "--out", "sw", "--param", param, "--epochs", "1", "--seed", "2"])
+                         "--out", "sw", "--param", param, "--epochs", "10", "--seed", "2",
+                         "--learning-rate", "0.5", "--momentum", "0.5", "--tau", "1.0"])
     files = {p.name: p.read_text() for p in sorted(Path("sw").iterdir())}
     shutil.rmtree("sw")
     return [code, stdout.getvalue(), files]
 
-result = {"blas_threads": cli._blas_threads(), "forked": {}, "serial": {}}
+result = {"blas_threads": procs.blas_threads(), "forked": {}, "serial": {}}
 for param in cli.DEFAULT_GRIDS:
     result["forked"][param] = sweep(param)
 result["forks"] = len(forks)
-cli._sweep_forks = lambda n: False
+procs.fork_pays = lambda n: False
 for param in cli.DEFAULT_GRIDS:
     result["serial"][param] = sweep(param)
 result["forks_after_serial"] = len(forks)
@@ -751,8 +752,12 @@ print(json.dumps(result))
 
 
 def test_forked_sweep_matches_serial_sweep_byte_for_byte(tmp_path):
-    prefix = make_dataset(tmp_path)
-    make_checkpoint(tmp_path, prefix)
+    # a set on which the batch_size grid points train to different rows, so
+    # outcomes swapped or repeated between the processes would show
+    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 3) == 0
+    assert run("pretrain", "--data", tmp_path / "ds", "--out", tmp_path / "pre", "--epochs", 3,
+               "--batch-size", 16, "--seed", 1) == 0
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", IDENTITY_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -765,6 +770,9 @@ def test_forked_sweep_matches_serial_sweep_byte_for_byte(tmp_path):
     for param, (code, stdout, files) in result["forked"].items():
         assert code == 0 and sorted(files) == ["config.json", "sweep.csv"]
         assert len(stdout.splitlines()) == len(DEFAULT_GRIDS[param]) + 1
+    rows = [line.split(",")[2:] for line in
+            result["forked"]["batch_size"][2]["sweep.csv"].splitlines()[1:]]
+    assert rows[0] != rows[1]  # the child's two points: outcomes swapped between them show
 
 
 @pytest.fixture(scope="module")
@@ -789,7 +797,7 @@ def failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, forked, *grid):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(cli, "_sweep_forks", lambda n: forked and n >= 2)
+    monkeypatch.setattr(procs, "fork_pays", lambda n: forked and n >= 2)
     prefix, checkpoint = sweep_inputs
     out = tmp_path / ("forked" if forked else "serial")
     assert run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
@@ -849,7 +857,7 @@ def test_sweep_parent_interrupted_kills_and_reaps_its_child(tmp_path, monkeypatc
         time.sleep(60)
 
     monkeypatch.setattr(cli, "finetune", stuck)
-    monkeypatch.setattr(cli, "_sweep_forks", lambda n: True)
+    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
     prefix, checkpoint = sweep_inputs
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
@@ -859,6 +867,128 @@ def test_sweep_parent_interrupted_kills_and_reaps_its_child(tmp_path, monkeypatc
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "sw").exists()
+
+
+# --- Phase I in two processes ------------------------------------------------------
+
+
+PHASE_ONE_SCRIPT = """
+import contextlib, dataclasses, hashlib, io, json, os, shutil
+from pathlib import Path
+import numpy as np
+from bke import cli, procs, selfsup
+
+cpus = os.sched_getaffinity(0)
+forks = []
+fork = os.fork
+def counting_fork():
+    forks.append(1)
+    return fork()
+os.fork = counting_fork
+real = {name: getattr(selfsup, name) for name in ("_target_projection", "_online_step")}
+
+def nan_target(bundle, v2):  # runs in the worker when forked: matmul fails
+    w = np.full_like(bundle.target_projector["fc2.w"], np.nan)
+    nan = dataclasses.replace(bundle, target_projector={**bundle.target_projector, "fc2.w": w})
+    return real["_target_projection"](nan, v2)
+
+def nan_online(bundle, optimizer, v1, v2, target):  # conv2d fails before z2 is read
+    return real["_online_step"](bundle, optimizer, v1 * np.nan, v2, target)
+
+def exit_3(*args):
+    os._exit(3)
+
+def interrupt(*args):
+    raise KeyboardInterrupt
+
+CASES = {
+    "clean": ([], {}),
+    "worker_nan": ([], {"_target_projection": nan_target}),
+    "parent_nan": ([], {"_online_step": nan_online}),
+    "both_nan": ([], {"_target_projection": nan_target, "_online_step": nan_online}),
+    "huge_lr": (["--learning-rate", "1e308"], {}),
+    "worker_exit": ([], {"_target_projection": exit_3}),
+    "interrupted": ([], {"_online_step": interrupt}),
+}
+
+def at_step(name, fault, step=3):
+    calls = []
+    def wrapper(*args):
+        calls.append(1)
+        return (fault if len(calls) == step + 1 else real[name])(*args)
+    setattr(selfsup, name, wrapper)
+
+def pretrain(case, forked):
+    args, faults = CASES[case]
+    procs.fork_pays = lambda n: forked
+    for name, fault in faults.items():
+        at_step(name, fault)
+    del forks[:]
+    out = Path("pre")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(["pretrain", "--data", "ds", "--out", str(out), "--epochs", "3",
+                             "--batch-size", "8", "--seed", "5", *args])
+        except KeyboardInterrupt:
+            code = "KeyboardInterrupt"
+    vars(selfsup).update(real)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        children_left = True
+    except ChildProcessError:
+        children_left = False
+    files = None
+    if out.exists():
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        shutil.rmtree(out)
+    return {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+            "files": files, "forks": len(forks), "children_left": children_left,
+            "cpus_kept": os.sched_getaffinity(0) == cpus,
+            "partial": [str(p) for p in Path(".").rglob("*.partial")]}
+
+result = {"blas_threads": procs.blas_threads()}
+for case in CASES:
+    result[case] = {"forked": pretrain(case, True)}
+    if case != "worker_exit":  # in one process the exit ends the run itself
+        result[case]["serial"] = pretrain(case, False)
+print(json.dumps(result))
+"""
+
+
+def test_forked_phase_one_matches_serial_phase_one(tmp_path):
+    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 3) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PHASE_ONE_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result.pop("blas_threads") == 1
+    for case, runs in result.items():
+        for path, outcome in runs.items():
+            assert outcome.pop("forks") == (path == "forked"), (case, path)
+            assert (outcome.pop("children_left"), outcome.pop("cpus_kept"),
+                    outcome.pop("partial")) == (False, True, []), (case, path)
+        if "serial" in runs:
+            assert runs["forked"] == runs["serial"], case
+    clean = result["clean"]["forked"]
+    assert clean["code"] == 0 and clean["stdout"].startswith("pretrained 3 epochs on 40 images")
+    assert sorted(clean["files"]) == ["checkpoint.bkec", "config.json", "pretrain_loss.csv"]
+    # each fault strikes at step 3: epoch 0, the fourth batch
+    where = re.fullmatch(r"error: pretrain failed at (epoch 0, batch starting \d+): "
+                         r"tensor construction produced non-finite values\n",
+                         result["parent_nan"]["forked"]["stderr"]).group(1)
+    worker_nan = f"error: pretrain failed at {where}: matmul produced non-finite values\n"
+    assert result["worker_nan"]["forked"]["stderr"] == worker_nan
+    assert result["both_nan"]["forked"]["stderr"] == worker_nan  # the target runs first
+    assert result["huge_lr"]["forked"]["stderr"].startswith("error: pretrain failed at epoch ")
+    assert result["worker_exit"]["forked"] == {
+        "code": 1, "stdout": "", "files": None,
+        "stderr": f"error: pretrain's worker process exited with status 3 at {where}\n"}
+    assert result["interrupted"]["forked"]["code"] == "KeyboardInterrupt"
+    for case in ("worker_nan", "parent_nan", "both_nan", "huge_lr", "interrupted"):
+        assert result[case]["forked"]["files"] is None, case
 
 
 # --- one process, many calls ------------------------------------------------------
@@ -940,7 +1070,7 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
         shutil.rmtree(out)
         return code, capsys.readouterr().out, files
 
-    monkeypatch.setattr(cli, "_sweep_forks", lambda n: False)
+    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
     serial = sweep()
     pipes, forks = [], []
     pipe = os.pipe
@@ -955,7 +1085,7 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
 
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(cli, "_sweep_forks", lambda n: True)
+    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
     assert sweep() == serial
     assert serial[0] == 0 and len(serial[1].splitlines()) == len(DEFAULT_GRIDS["tau"]) + 1
     assert sorted(serial[2]) == ["config.json", "sweep.csv"]

@@ -1,3 +1,5 @@
+import errno
+import os
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bke import selfsup
+from bke import procs, selfsup
 from bke import tensor as T
 from bke.models import BundleSpecs, EncoderSpec, MlpSpec, encode, init_bundle, predict, project
 from bke.optim import SgdMomentum
@@ -294,7 +296,14 @@ def test_pretrain_loss_trends_down():
     assert last5 < first5
 
 
-def test_collapse_detector_trips_after_three_flat_epochs(monkeypatch):
+@pytest.fixture
+def serial(monkeypatch):
+    """Phase I in one process, so a stub of ssl_step is the step at any
+    BLAS thread count."""
+    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
+
+
+def test_collapse_detector_trips_after_three_flat_epochs(monkeypatch, serial):
     flat = selfsup.SslBatchOutputs(loss_cv=0.0, loss_cm=0.0, loss_total=0.0, feature_std=0.0)
     calls = []
     monkeypatch.setattr(selfsup, "ssl_step", lambda *a, **k: calls.append(1) or flat)
@@ -308,7 +317,7 @@ def test_pretrain_runs_at_batch_size_one():
     assert [h.epoch for h in history] == [0, 1, 2]
 
 
-def test_tail_batch_of_one_does_not_count_toward_collapse(monkeypatch):
+def test_tail_batch_of_one_does_not_count_toward_collapse(monkeypatch, serial):
     # batches of 2 then 1: the pair's std alone is above the threshold, and the
     # losses still average over all three images
     def step(bundle, images, *a):
@@ -322,7 +331,7 @@ def test_tail_batch_of_one_does_not_count_toward_collapse(monkeypatch):
     assert all(h.loss_total == 5 / 3 for h in history)
 
 
-def test_nonfinite_loss_reported_with_location(monkeypatch):
+def test_nonfinite_loss_reported_with_location(monkeypatch, serial):
     def explode(*a, **k):
         raise FloatingPointError("conv2d produced non-finite values")
 
@@ -331,7 +340,7 @@ def test_nonfinite_loss_reported_with_location(monkeypatch):
         pretrain(images_fixture(n=4), SslConfig(epochs=1, batch_size=4, seed=1), specs=TINY)
 
 
-def test_value_error_reported_with_location(monkeypatch):
+def test_value_error_reported_with_location(monkeypatch, serial):
     def explode(*a, **k):
         raise ValueError("l2_normalize_rows: zero-norm row")
 
@@ -369,3 +378,33 @@ def test_config_is_frozen_and_checked_on_replace():
         SslConfig().zeta = 0.5
     with pytest.raises(ValueError, match="zeta must be in"):
         replace(SslConfig(), zeta=1.5)
+
+
+def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
+    images = images_fixture(n=8)
+    config = SslConfig(epochs=2, batch_size=4, learning_rate=0.05, zeta=0.9, seed=7)
+    serial = tmp_path / "serial.bkec"
+    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
+    _, expected = pretrain(images, config, specs=TINY, checkpoint_path=serial)
+    pipes, forks = [], []
+    pipe = os.pipe
+
+    def recording_pipe():
+        pipes.extend(pipe())
+        return pipes[-2:]
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
+    cpus = os.sched_getaffinity(0)
+    _, history = pretrain(images, config, specs=TINY, checkpoint_path=tmp_path / "forked.bkec")
+    assert history == expected and len(forks) == 1 and len(pipes) == 4
+    assert (tmp_path / "forked.bkec").read_bytes() == serial.read_bytes()
+    assert os.sched_getaffinity(0) == cpus
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)

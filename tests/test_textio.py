@@ -189,3 +189,19 @@ def test_numpy_is_the_only_runtime_dependency():
                 tops.add(node.module.split(".")[0])
     assert "numpy" in tops
     assert tops - set(sys.stdlib_module_names) <= {"numpy", "bke"}
+
+
+def test_process_control_lives_in_procs():
+    """Forking, reaping, killing and pinning processes is procs.py's job, so
+    every exit path of a forked child is handled in one place."""
+    calls = {"fork", "_exit", "waitpid", "kill", "sched_setaffinity"}
+    src = Path(bke.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found |= {(path.name, alias.name) for alias in node.names if alias.name in calls}
+    assert found == {("procs.py", name) for name in calls}
