@@ -30,13 +30,15 @@ otherwise, or when the child cannot be made, it trains the points one
 after another. Both ways write the same bytes.
 
 ``pretrain`` splits Phase I over two processes under the same rule, for
-two or more steps: a forked worker draws the views, applies the EMA and
-runs the target network while the parent trains the online network. The
-two are pinned to distinct CPUs and wait for each other by polling, since
-a worker asleep in a blocking read was woken onto the parent's CPU and
-made the run slower than one process; the parent's CPU set is restored
-when the run ends. The files, stdout and ``error:`` line are the bytes
-the one-process run gives (see ``selfsup.pretrain``).
+two or more steps, when its CPU set holds exactly two CPUs
+(``procs.cpu_pair``): a forked worker draws the views, applies the EMA
+and runs the target network while the parent trains the online network.
+The two are pinned one to each CPU, since an unpinned worker asleep in
+its read was woken onto the parent's CPU and made the run slower than
+one process; the parent's CPU set is restored when the run ends. On a
+larger CPU set the run stays in one process (``taskset -c 2,3 bke
+pretrain ...`` gives it a pair). The files, stdout and ``error:`` line
+are the bytes the one-process run gives (see ``selfsup.pretrain``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Process control for the work that runs on two CPUs: the BLAS thread
-reader, the rule that says when a fork pays, a forked child that is
-killed and reaped on every exit path, and one-byte event signals between
-the two processes.
+reader, the rules that say when a fork pays and which two CPUs to pin, a
+forked child that is killed and reaped on every exit path, and one-byte
+event signals between the two processes.
 
 ``bke sweep`` and Phase I (``pretrain``) fork only when numpy's OpenBLAS
 runs one thread. With its default of one thread per core, two processes
@@ -45,6 +45,16 @@ def fork_pays(n_tasks: int) -> bool:
     return n_tasks >= 2 and blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
+def cpu_pair() -> tuple[int, int] | None:
+    """The two CPUs of this process's set when it holds exactly two, else
+    None. Such a set was chosen for this process (say with ``taskset``),
+    so pinning one process to each CPU takes no CPU from another run. Two
+    CPUs picked from a larger set would be the same two for every run
+    started beside this one."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return (cpus[0], cpus[1]) if len(cpus) == 2 else None
+
+
 class Child:
     """A forked child process; ``wait`` reaps it once and keeps its exit code."""
 
@@ -59,18 +69,18 @@ class Child:
 
 
 @contextlib.contextmanager
-def forked(work: Callable[[], object], pin: bool = False) -> Iterator[Child | None]:
+def forked(work: Callable[[], object],
+           cpus: tuple[int, int] | None = None) -> Iterator[Child | None]:
     """Run work() in a forked child, which ends with ``os._exit``: status 0
     when work returns and 1 when it raises, with no flush of the parent's
     buffered output and no exit handlers. The block gets the Child, or None
     when the fork fails, and then no child exists. When the block raises,
     the child is killed; either way it is reaped when the block ends.
 
-    With pin, this process and the child each run on one CPU of this
-    process's set, two distinct ones when the set has two, so that the
-    scheduler never puts both on one CPU; this process's CPU set is
-    restored when the block ends."""
-    cpus = os.sched_getaffinity(0)
+    With cpus, this process runs on cpus[0] and the child on cpus[1], so
+    that the scheduler never wakes one of them onto the other's CPU; this
+    process's CPU set is restored when the block ends."""
+    own = os.sched_getaffinity(0)
     try:
         pid = os.fork()
     except OSError:
@@ -78,20 +88,19 @@ def forked(work: Callable[[], object], pin: bool = False) -> Iterator[Child | No
     if pid is None:
         yield None
         return
-    first, *rest = sorted(cpus)
     if pid == 0:
         code = 1
         try:
-            if pin:
-                os.sched_setaffinity(0, {rest[0] if rest else first})
+            if cpus:
+                os.sched_setaffinity(0, {cpus[1]})
             work()
             code = 0
         finally:
             os._exit(code)
     child = Child(pid)
     try:
-        if pin:
-            os.sched_setaffinity(0, {first})
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
         yield child
     except BaseException:
         if child.exit_code is None:
@@ -101,7 +110,7 @@ def forked(work: Callable[[], object], pin: bool = False) -> Iterator[Child | No
         try:
             child.wait()
         finally:
-            os.sched_setaffinity(0, cpus)
+            os.sched_setaffinity(0, own)
 
 
 class PeerError(RuntimeError):
@@ -110,15 +119,12 @@ class PeerError(RuntimeError):
 
 class Events:
     """Counts the events the other process signals through a pipe, one
-    byte each, and waits for them by polling with ``sched_yield``: an
-    unpinned process asleep in a blocking read was woken onto its busy
-    peer's CPU. Each poll is a system call, which also orders the peer's
-    writes to shared memory before the event that announces them. A peer
-    that fails writes b"!" and its pickled exception, which ``wait``
-    raises."""
+    byte each, and waits for them in a blocking read. A read and a write
+    of a pipe are system calls, which order the peer's writes to shared
+    memory before the event that announces them. A peer that fails writes
+    b"!" and its pickled exception, which ``wait`` raises."""
 
     def __init__(self, fd: int) -> None:
-        os.set_blocking(fd, False)
         self.fd = fd
         self.count = 0
         self._failure: bytearray | None = None  # the pickled exception, once b"!" is read
@@ -127,11 +133,7 @@ class Events:
         """Return once n events have arrived; raise the peer's exception, or
         PeerError, when its pipe closes first."""
         while self.count < n:
-            try:
-                chunk = os.read(self.fd, 1 << 16)
-            except BlockingIOError:
-                os.sched_yield()
-                continue
+            chunk = os.read(self.fd, 1 << 16)
             if not chunk:
                 if self._failure:
                     raise pickle.loads(self._failure)

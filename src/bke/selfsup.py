@@ -14,16 +14,19 @@ quantity is the target projection z2.
 
 A step is three pieces: the views and the target network's z2, the
 online network's step, and the EMA. ``ssl_step`` runs them in that order
-in one process. When ``procs.fork_pays`` allows, ``pretrain`` runs the
+in one process. When ``procs.fork_pays`` allows and the process's CPU
+set holds exactly two CPUs (``procs.cpu_pair``), ``pretrain`` runs the
 first and the last in a forked worker instead, beside the online step of
 the parent: the worker draws step t's views while the parent trains on
 step t - 1's, then waits for the weights the parent publishes, applies
 the EMA and computes z2. The arrays pass through an anonymous shared
-mapping and each hand-over is a one-byte pipe event. The two processes
-are pinned to two CPUs and poll for events, because a worker asleep in
-a blocking read was woken onto the parent's CPU, which made the run
-slower than one process. No arithmetic is reordered, so the bytes of
-every artifact are those of the one-process run.
+mapping and each hand-over is a one-byte pipe event. The parent and the
+worker are pinned one to each CPU: unpinned, a worker asleep in its read
+was woken onto the busy parent's CPU, which made the run slower than one
+process. A larger CPU set keeps the run in one process, since CPUs picked
+from it would be the same two for every run started beside this one. No
+arithmetic is reordered, so the bytes of every artifact are those of the
+one-process run.
 """
 
 from __future__ import annotations
@@ -297,9 +300,11 @@ def _split_step(images: np.ndarray, scale: float, bundle: ModelBundle, config: S
                 optimizer: SgdMomentum) -> Iterator[_SplitStep | None]:
     """The parent's step of a Phase I split over two processes, or None
     when the run stays in this one: when ``procs.fork_pays`` says no for
-    its number of steps, or when the fork fails."""
+    its number of steps, when the CPU set is not a pair, or when the fork
+    fails."""
     n_steps = config.epochs * math.ceil(len(images) / config.batch_size)
-    if not procs.fork_pays(n_steps):
+    cpus = procs.cpu_pair()
+    if cpus is None or not procs.fork_pays(n_steps):
         yield None
         return
     shared = _SharedArrays(bundle, min(config.batch_size, len(images)), images.shape[-1])
@@ -313,7 +318,7 @@ def _split_step(images: np.ndarray, scale: float, bundle: ModelBundle, config: S
                       to_parent)
 
     try:
-        with procs.forked(work, pin=True) as worker:
+        with procs.forked(work, cpus) as worker:
             if worker is None:
                 yield None
                 return

@@ -879,6 +879,7 @@ import numpy as np
 from bke import cli, procs, selfsup
 
 cpus = os.sched_getaffinity(0)
+procs.cpu_pair = lambda: (min(cpus), max(cpus))  # so hosts without exactly two CPUs split too
 forks = []
 fork = os.fork
 def counting_fork():

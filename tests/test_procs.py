@@ -8,22 +8,30 @@ import pytest
 from bke import procs
 
 
-def test_forked_pins_each_process_to_one_cpu_and_restores_the_set():
+def test_forked_pins_each_process_to_its_cpu_and_restores_the_set():
     cpus = os.sched_getaffinity(0)
+    pair = (min(cpus), max(cpus))
     read_fd, write_fd = os.pipe()
 
     def work():
         os.write(write_fd, pickle.dumps(os.sched_getaffinity(0)))
 
-    with procs.forked(work, pin=True) as child:
+    with procs.forked(work, pair) as child:
         os.close(write_fd)
         ours = os.sched_getaffinity(0)
         assert child.wait() == 0
     with os.fdopen(read_fd, "rb") as pipe:
         theirs = pickle.load(pipe)
-    assert len(ours) == len(theirs) == 1 and ours | theirs <= cpus
-    assert ours != theirs or len(cpus) == 1
+    assert (ours, theirs) == ({pair[0]}, {pair[1]})
     assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.parametrize("cpus, pair", [({3, 5}, (3, 5)), ({1, 0}, (0, 1)), ({0}, None),
+                                        ({0, 1, 2}, None), (set(range(64)), None)])
+def test_cpu_pair_is_a_set_of_exactly_two(monkeypatch, cpus, pair):
+    # runs started side by side on a larger set would all pin the same two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert procs.cpu_pair() == pair
 
 
 def test_forked_child_that_raises_exits_1_and_a_block_that_raises_kills_it():
@@ -45,7 +53,7 @@ def test_forked_yields_none_when_the_fork_fails(monkeypatch):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    with procs.forked(lambda: None, pin=True) as child:
+    with procs.forked(lambda: None, (0, 1)) as child:
         assert child is None
 
 

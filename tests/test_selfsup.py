@@ -400,6 +400,7 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(procs, "fork_pays", lambda n: True)
+    monkeypatch.setattr(procs, "cpu_pair", lambda: (0, 1))
     cpus = os.sched_getaffinity(0)
     _, history = pretrain(images, config, specs=TINY, checkpoint_path=tmp_path / "forked.bkec")
     assert history == expected and len(forks) == 1 and len(pipes) == 4
@@ -408,3 +409,16 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+def test_pretrain_on_more_than_two_cpus_runs_in_one_process(monkeypatch):
+    # two CPUs picked from a larger set would be the same two for every run
+    # started beside this one, so the split needs a set of exactly two
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(procs, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    assert procs.fork_pays(4) and procs.cpu_pair() is None
+    config = SslConfig(epochs=2, batch_size=4, learning_rate=0.05, zeta=0.9, seed=7)
+    _, history = pretrain(images_fixture(n=8), config, specs=TINY)
+    assert len(history) == 2 and forks == []
