@@ -21,24 +21,10 @@ Datasets are referenced by prefix: ``<prefix>.bkei`` (images),
 Every dataset command reads all three; a missing split manifest is an
 error.
 
-``sweep`` trains its grid points in two processes when it can: a forked
-child trains the first half of the grid while the parent trains the
-rest, and the parent prints the rows in grid order. It does so only for a
-grid of two or more points, on two or more CPUs, and when numpy's
-OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``; ``procs.fork_pays``);
-otherwise, or when the child cannot be made, it trains the points one
-after another. Both ways write the same bytes.
-
-``pretrain`` splits Phase I over two processes under the same rule, for
-two or more steps, when its CPU set holds exactly two CPUs
-(``procs.cpu_pair``): a forked worker draws the views, applies the EMA
-and runs the target network while the parent trains the online network.
-The two are pinned one to each CPU, since an unpinned worker asleep in
-its read was woken onto the parent's CPU and made the run slower than
-one process; the parent's CPU set is restored when the run ends. On a
-larger CPU set the run stays in one process (``taskset -c 2,3 bke
-pretrain ...`` gives it a pair). The files, stdout and ``error:`` line
-are the bytes the one-process run gives (see ``selfsup.pretrain``).
+When a fork pays by the rule in ``procs``, ``sweep`` trains the first
+half of its grid in a forked child and ``pretrain`` runs part of each
+Phase-I step in a forked worker (see ``selfsup``), and the files, stdout
+and ``error:`` line are the bytes of the one-process run.
 """
 
 from __future__ import annotations
@@ -46,8 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
-import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -336,38 +320,34 @@ def _outcomes(train: Callable[[int], tuple], indices) -> Iterator:
 
 def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterable:
     """The outcomes of every grid point: a forked child trains the first half
-    and pickles its outcomes through a pipe while this process trains the
-    rest. A point the child left without an outcome gets an error naming
-    the child's points and its exit status. When the fork fails, this
-    process trains every point itself."""
+    and writes each (hm, acc) to shared memory while this process trains
+    the rest. The first point the child left without a result gets the
+    child's exception, or an error naming the child's points and its exit
+    status. When the child cannot be made, this process trains every
+    point itself."""
     half = len(labels) // 2
-    read_fd, write_fd = os.pipe()
+    [results] = procs.shared_arrays([(half, 2)])
 
-    def child() -> None:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as pipe:
-            for outcome in _outcomes(train, range(half)):
-                pickle.dump(outcome, pipe)
-                pipe.flush()
+    def child(parent: procs.Peer) -> None:
+        for i in range(half):
+            results[i] = train(i)
+            parent.signal()
 
-    with procs.forked(child) as worker:
+    name = f"the sweep's child process for {', '.join(labels[:half])}"
+    with procs.forked(child, name) as worker:
         if worker is None:
-            os.close(read_fd)
-            os.close(write_fd)
             return _outcomes(train, range(len(labels)))
-        os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as pipe:
-            ours = list(_outcomes(train, range(half, len(labels))))
-            theirs = []
-            while True:
-                try:
-                    theirs.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):
-                    break
-    lost = [RuntimeError(f"the sweep's child process for {', '.join(labels[:half])} exited "
-                         f"with status {worker.exit_code} without a result "
-                         f"for {labels[i]}") for i in range(len(theirs), half)]
-    return theirs + lost + ours
+        ours = list(_outcomes(train, range(half, len(labels))))
+        theirs = []
+        for i in range(half):
+            try:
+                worker.wait(i + 1, f"without a result for {labels[i]}")
+            except Exception as exc:
+                theirs.append(exc)
+                break
+            hm, acc = results[i]
+            theirs.append((float(hm), float(acc)))
+    return theirs + ours
 
 
 def _cmd_sweep(cfg: dict) -> int:

@@ -14,27 +14,19 @@ quantity is the target projection z2.
 
 A step is three pieces: the views and the target network's z2, the
 online network's step, and the EMA. ``ssl_step`` runs them in that order
-in one process. When ``procs.fork_pays`` allows and the process's CPU
-set holds exactly two CPUs (``procs.cpu_pair``), ``pretrain`` runs the
-first and the last in a forked worker instead, beside the online step of
-the parent: the worker draws step t's views while the parent trains on
-step t - 1's, then waits for the weights the parent publishes, applies
-the EMA and computes z2. The arrays pass through an anonymous shared
-mapping and each hand-over is a one-byte pipe event. The parent and the
-worker are pinned one to each CPU: unpinned, a worker asleep in its read
-was woken onto the busy parent's CPU, which made the run slower than one
-process. A larger CPU set keeps the run in one process, since CPUs picked
-from it would be the same two for every run started beside this one. No
-arithmetic is reordered, so the bytes of every artifact are those of the
-one-process run.
+in one process. When a fork pays by the rule in ``procs``, ``pretrain``
+runs the first and the last in a forked worker instead, beside the online
+step of the parent: the worker draws step t's views while the parent
+trains on step t - 1's, then waits for the weights the parent publishes,
+applies the EMA and computes z2. The arrays pass through shared memory
+and each hand-over is one pipe event. No arithmetic is reordered, so the
+bytes of every artifact are those of the one-process run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import mmap
-import os
 from dataclasses import astuple, dataclass
 from typing import Callable, Iterator
 
@@ -185,22 +177,17 @@ _EMA_GROUPS = ("encoder", "projector")  # the groups with an online and a target
 
 
 class _SharedArrays:
-    """The arrays the two processes of a split Phase I exchange, in one
-    anonymous shared mapping: for each step parity a slot (v1, v2, z2) with
-    room for the largest batch, and theta, the online encoder and projector
-    the parent publishes after each step, which the worker overwrites with
-    the target network after the last one."""
+    """The arrays the two processes of a split Phase I share: for each step
+    parity a slot (v1, v2, z2) with room for the largest batch, and theta,
+    the online encoder and projector the parent publishes after each step,
+    which the worker overwrites with the target network after the last one."""
 
     def __init__(self, bundle: ModelBundle, n_max: int, source_side: int) -> None:
         side = view_side(source_side)
         online = {group: getattr(bundle, "online_" + group) for group in _EMA_GROUPS}
         slot = [(n_max, 1, side, side)] * 2 + [(n_max, bundle.specs.projector.out_dim)]
         shapes = slot * 2 + [a.shape for params in online.values() for a in params.values()]
-        sizes = [math.prod(shape) for shape in shapes]
-        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        ends = np.cumsum(sizes)
-        arrays = iter([flat[end - size:end].reshape(shape)
-                       for shape, size, end in zip(shapes, sizes, ends)])
+        arrays = iter(procs.shared_arrays(shapes))
         self.slots = [[next(arrays) for _ in slot] for _ in range(2)]
         self.theta = {group: {name: next(arrays) for name in params}
                       for group, params in online.items()}
@@ -217,36 +204,33 @@ class _SharedArrays:
 
 
 def _worker_steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
-                  shared: _SharedArrays, events: procs.Events, out_fd: int) -> None:
+                  shared: _SharedArrays, parent: procs.Peer) -> None:
     """The worker's side of a split Phase I, on the bundle as it was before
     the first step. For step t it draws the views into slot t, applies the
     EMA with the theta the parent published after step t - 1 and writes z2
     there; each of the two is one event. After the last step it applies
     the last EMA and writes the target network over theta, one more event.
-    A failure is signalled, with its exception, in place of its event."""
-    try:
-        for group in _EMA_GROUPS:
-            setattr(bundle, "online_" + group, shared.theta[group])
-        t = 0
-        for epoch in range(config.epochs):
-            for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
-                v1, v2, z2 = shared.slot(t, len(batch))
-                states = substream_states(batch, config.seed, "augment", epoch)
-                pair = make_view_pair(np.divide(images[batch], scale, dtype=np.float64), states)
-                v1[...], v2[...] = pair.v1, pair.v2
-                procs.signal_event(out_fd)
-                events.wait(t)
-                if t:
-                    _follow(bundle, config.zeta)
-                z2[...] = _target_projection(bundle, v2)
-                procs.signal_event(out_fd)
-                t += 1
-        events.wait(t)
-        _follow(bundle, config.zeta)
-        shared.put_theta(bundle, "target")
-        procs.signal_event(out_fd)
-    except Exception as exc:
-        procs.signal_failure(out_fd, exc)
+    A failure reaches the parent, with its exception, in place of its event."""
+    for group in _EMA_GROUPS:
+        setattr(bundle, "online_" + group, shared.theta[group])
+    t = 0
+    for epoch in range(config.epochs):
+        for batch in batches(range(len(images)), config.batch_size, config.seed, epoch):
+            v1, v2, z2 = shared.slot(t, len(batch))
+            states = substream_states(batch, config.seed, "augment", epoch)
+            pair = make_view_pair(np.divide(images[batch], scale, dtype=np.float64), states)
+            v1[...], v2[...] = pair.v1, pair.v2
+            parent.signal()
+            parent.wait(t, f"before step {t}")
+            if t:
+                _follow(bundle, config.zeta)
+            z2[...] = _target_projection(bundle, v2)
+            parent.signal()
+            t += 1
+    parent.wait(t, "before the last EMA")
+    _follow(bundle, config.zeta)
+    shared.put_theta(bundle, "target")
+    parent.signal()
 
 
 class _SplitStep:
@@ -255,26 +239,18 @@ class _SplitStep:
     published for the worker."""
 
     def __init__(self, bundle: ModelBundle, optimizer: SgdMomentum, shared: _SharedArrays,
-                 worker: procs.Child, events: procs.Events, out_fd: int) -> None:
+                 worker: procs.Peer) -> None:
         self.bundle, self.optimizer, self.shared = bundle, optimizer, shared
-        self.worker, self.events, self.out_fd = worker, events, out_fd
+        self.worker = worker
         self.t = 0
 
-    def _await(self, n: int, where: str) -> None:
-        """Wait for the worker's first n events; raise its failure, or name its exit."""
-        try:
-            self.events.wait(n)
-        except procs.PeerError:
-            raise RuntimeError(f"pretrain's worker process exited with status "
-                               f"{self.worker.wait()} at {where}") from None
-
     def __call__(self, epoch: int, batch: list[int]) -> SslBatchOutputs:
-        t, where = self.t, f"epoch {epoch}, batch starting {batch[0]}"
+        t, where = self.t, f"at epoch {epoch}, batch starting {batch[0]}"
         v1, v2, z2 = self.shared.slot(t, len(batch))
-        self._await(2 * t + 1, where)
+        self.worker.wait(2 * t + 1, where)
 
         def target() -> np.ndarray:
-            self._await(2 * t + 2, where)
+            self.worker.wait(2 * t + 2, where)
             return z2
 
         try:
@@ -283,13 +259,13 @@ class _SplitStep:
             target()  # a failure of the worker's in this step comes first in serial order
             raise
         self.shared.put_theta(self.bundle, "online")
-        procs.signal_event(self.out_fd)
+        self.worker.signal()
         self.t += 1
         return out
 
     def finish(self) -> None:
         """Take the target network the worker's last EMA left."""
-        self._await(2 * self.t + 1, "the end of the last epoch")
+        self.worker.wait(2 * self.t + 1, "at the end of the last epoch")
         for group, params in self.shared.theta.items():
             setattr(self.bundle, "target_" + group,
                     {name: value.copy() for name, value in params.items()})
@@ -300,36 +276,20 @@ def _split_step(images: np.ndarray, scale: float, bundle: ModelBundle, config: S
                 optimizer: SgdMomentum) -> Iterator[_SplitStep | None]:
     """The parent's step of a Phase I split over two processes, or None
     when the run stays in this one: when ``procs.fork_pays`` says no for
-    its number of steps, when the CPU set is not a pair, or when the fork
-    fails."""
+    its number of steps, when the CPU set is not a pair, or when the worker
+    cannot be made."""
     n_steps = config.epochs * math.ceil(len(images) / config.batch_size)
     cpus = procs.cpu_pair()
     if cpus is None or not procs.fork_pays(n_steps):
         yield None
         return
     shared = _SharedArrays(bundle, min(config.batch_size, len(images)), images.shape[-1])
-    fds = os.pipe() + os.pipe()
-    from_worker, to_parent, from_parent, to_worker = fds
 
-    def work() -> None:
-        os.close(from_worker)
-        os.close(to_worker)
-        _worker_steps(images, scale, bundle, config, shared, procs.Events(from_parent),
-                      to_parent)
+    def work(parent: procs.Peer) -> None:
+        _worker_steps(images, scale, bundle, config, shared, parent)
 
-    try:
-        with procs.forked(work, cpus) as worker:
-            if worker is None:
-                yield None
-                return
-            os.close(to_parent)
-            os.close(from_parent)
-            fds = (from_worker, to_worker)
-            yield _SplitStep(bundle, optimizer, shared, worker, procs.Events(from_worker),
-                             to_worker)
-    finally:
-        for fd in fds:
-            os.close(fd)
+    with procs.forked(work, "pretrain's worker process", cpus) as worker:
+        yield None if worker is None else _SplitStep(bundle, optimizer, shared, worker)
 
 
 def pretrain(

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -992,6 +993,58 @@ def test_forked_phase_one_matches_serial_phase_one(tmp_path):
         assert result[case]["forked"]["files"] is None, case
 
 
+KILLED_PARENT_SCRIPT = """
+import os
+from bke import cli, procs
+
+cpus = os.sched_getaffinity(0)
+procs.cpu_pair = lambda: (min(cpus), max(cpus))  # so hosts without exactly two CPUs split too
+procs.fork_pays = lambda n: True
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = reporting_fork
+cli.main(["pretrain", "--data", "ds", "--out", "pre", "--epochs", "1000", "--batch-size", "8",
+          "--seed", "5"])
+"""
+
+
+def process_state(pid):
+    """The state letter in /proc/<pid>/stat, or None when there is no such process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rpartition(")")[2].split()[0]
+
+
+def test_phase_one_worker_exits_when_its_parent_is_killed(tmp_path):
+    # a zombie still answers kill(pid, 0), so the state is read from /proc
+    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 3) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_PARENT_SCRIPT], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(proc.stdout.readline())
+        time.sleep(0.5)  # well into the run
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 5
+    while process_state(worker) not in (None, "Z", "X") and time.monotonic() < deadline:
+        time.sleep(0.05)
+    state = process_state(worker)
+    if state not in (None, "Z", "X"):
+        os.kill(worker, signal.SIGKILL)
+    assert state in (None, "Z", "X")
+    assert not (tmp_path / "pre").exists()
+
+
 # --- one process, many calls ------------------------------------------------------
 
 
@@ -1073,10 +1126,14 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
 
     monkeypatch.setattr(procs, "fork_pays", lambda n: False)
     serial = sweep()
-    pipes, forks = [], []
+    assert serial[0] == 0 and len(serial[1].splitlines()) == len(DEFAULT_GRIDS["tau"]) + 1
+    assert sorted(serial[2]) == ["config.json", "sweep.csv"]
     pipe = os.pipe
+    pipes, forks, made = [], [], []  # made[0]: the pipes that open before EMFILE
 
     def recording_pipe():
+        if len(pipes) == made[0]:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
         pipes.append(pipe())
         return pipes[-1]
 
@@ -1087,12 +1144,12 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(procs, "fork_pays", lambda n: True)
-    assert sweep() == serial
-    assert serial[0] == 0 and len(serial[1].splitlines()) == len(DEFAULT_GRIDS["tau"]) + 1
-    assert sorted(serial[2]) == ["config.json", "sweep.csv"]
-    assert len(pipes) == 1 and len(forks) == 1
-    for fd in pipes[0]:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for n_pipes in (2, 0, 1):  # the fork fails, then the first pipe, then the second
+        made[:], pipes[:], forks[:] = [n_pipes], [], []
+        assert sweep() == serial
+        assert len(pipes) == n_pipes and len(forks) == (n_pipes == 2)
+        for fd in (fd for pair in pipes for fd in pair):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -386,10 +386,12 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
     serial = tmp_path / "serial.bkec"
     monkeypatch.setattr(procs, "fork_pays", lambda n: False)
     _, expected = pretrain(images, config, specs=TINY, checkpoint_path=serial)
-    pipes, forks = [], []
+    pipes, forks, made = [], [], []  # made[0]: the pipes that open before EMFILE
     pipe = os.pipe
 
     def recording_pipe():
+        if len(pipes) == 2 * made[0]:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
         pipes.extend(pipe())
         return pipes[-2:]
 
@@ -402,13 +404,19 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
     monkeypatch.setattr(procs, "fork_pays", lambda n: True)
     monkeypatch.setattr(procs, "cpu_pair", lambda: (0, 1))
     cpus = os.sched_getaffinity(0)
-    _, history = pretrain(images, config, specs=TINY, checkpoint_path=tmp_path / "forked.bkec")
-    assert history == expected and len(forks) == 1 and len(pipes) == 4
-    assert (tmp_path / "forked.bkec").read_bytes() == serial.read_bytes()
-    assert os.sched_getaffinity(0) == cpus
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    for n_pipes in (2, 0, 1):  # the fork fails, then the first pipe, then the second
+        made[:], pipes[:], forks[:] = [n_pipes], [], []
+        forked = tmp_path / "forked.bkec"
+        _, history = pretrain(images, config, specs=TINY, checkpoint_path=forked)
+        assert history == expected and len(forks) == (n_pipes == 2)
+        assert len(pipes) == 2 * n_pipes
+        assert forked.read_bytes() == serial.read_bytes()
+        assert os.sched_getaffinity(0) == cpus
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_pretrain_on_more_than_two_cpus_runs_in_one_process(monkeypatch):

@@ -192,9 +192,10 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_process_control_lives_in_procs():
-    """Forking, reaping, killing and pinning processes is procs.py's job, so
-    every exit path of a forked child is handled in one place."""
-    calls = {"fork", "_exit", "waitpid", "kill", "sched_setaffinity"}
+    """Forking, reaping, killing and pinning processes, and the pipes and
+    shared memory between them, are procs.py's job, so every exit path of a
+    forked child is handled in one place."""
+    calls = {"fork", "_exit", "waitpid", "kill", "sched_setaffinity", "pipe"}
     src = Path(bke.__file__).parent
     found = set()
     for path in sorted(src.glob("*.py")):
@@ -204,4 +205,7 @@ def test_process_control_lives_in_procs():
                 found.add((path.name, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found |= {(path.name, alias.name) for alias in node.names if alias.name in calls}
-    assert found == {("procs.py", name) for name in calls}
+            if isinstance(node, ast.Import | ast.ImportFrom) and "mmap" in (
+                    getattr(node, "module", None), *(alias.name for alias in node.names)):
+                found.add((path.name, "import mmap"))
+    assert found == {("procs.py", name) for name in calls | {"import mmap"}}
