@@ -7,9 +7,9 @@ Configuration precedence is CLI flag > JSON config file (``--config``) >
 built-in default. Unknown config keys are rejected. Every command that
 produces artifacts echoes its effective configuration as JSON next to
 them, and every command is deterministic given (config, seed): rerunning
-at the same BLAS thread count (``OPENBLAS_NUM_THREADS``) writes
-byte-identical files. At another thread count a checkpoint can differ in
-its last bits, since BLAS may then sum in another order.
+writes byte-identical files. ``main`` runs each command at one BLAS thread
+(``procs.one_blas_thread``) and then restores the caller's count; library
+callers of ``pretrain``, ``finetune`` and ``evaluate_classifier`` keep theirs.
 
 The pretrain, finetune and sweep options are the fields of ``SslConfig``
 and ``BkeConfig`` (``--lambda`` sets ``BkeConfig.lam``). Configs and
@@ -501,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.command, args)
         # a blow-up is reported once, by the finite check that raises, not by numpy warnings too
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"), procs.one_blas_thread():
             return COMMANDS[args.command][0](cfg)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,29 +1,31 @@
-"""Process control for the work that runs on two CPUs: the BLAS thread
-reader, the rule that says when a fork pays and which two CPUs to pin,
-and a forked child that exchanges events with its parent through two
-pipes and arrays through shared memory, and that is killed and reaped on
-every exit path.
+"""Process control for the work that runs on two CPUs: numpy's OpenBLAS
+thread count, the rule that says when a fork pays and which two CPUs to
+pin, and a forked child that exchanges events with its parent through two
+pipes and arrays through shared memory, is killed and reaped on every exit
+path, and dies with its parent.
 
-``bke sweep`` and Phase I (``pretrain``) fork one child only when numpy's
-OpenBLAS runs one thread (``OPENBLAS_NUM_THREADS=1``), for two or more
-grid points or steps, on two or more CPUs (``fork_pays``). With its
-default of one thread per core, two processes oversubscribe the cores
-and take several times as long as one. With one BLAS thread the process
-runs no other thread, so a fork is safe, and the child inherits the
-parent's BLAS state, so it computes the parent's bits: both ways write
-the same bytes. Phase I also needs a CPU set of exactly two CPUs
-(``cpu_pair``) and pins one process to each: unpinned, a worker asleep in
-its read was woken onto the busy parent's CPU, which made the run slower
-than one process. CPUs picked from a larger set would be the same two for
-every run started beside this one, so such a set keeps Phase I in one
-process (``taskset -c 2,3 bke pretrain ...`` gives a run its own pair).
-When a pipe or the fork cannot be made, the work runs in one process.
+``cli.main`` runs every command at one OpenBLAS thread (``one_blas_thread``)
+whatever ``OPENBLAS_NUM_THREADS`` says, since at another count BLAS may sum
+in another order; library callers keep their own count. ``bke sweep`` and
+Phase I (``pretrain``) fork one child only at one BLAS thread, for two or
+more grid points or steps, on two or more CPUs (``fork_pays``): at one
+thread per core, two processes oversubscribe the cores. The fork is safe:
+numpy's OpenBLAS stops its thread pool in a ``pthread_atfork`` handler
+before every fork, and the child inherits the one-thread setting, so it
+computes the parent's bits and both ways write the same bytes. Phase I
+also needs a CPU set of exactly two CPUs (``cpu_pair``) and pins one
+process to each: unpinned, a worker asleep in its read was woken onto the
+busy parent's CPU, which made the run slower than one process. A larger
+set would give every run started beside this one the same two CPUs, so it
+keeps Phase I in one process (``taskset -c 2,3 bke pretrain ...`` gives a
+run its own pair). Without a pipe or a fork, the work runs in one process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import mmap
 import os
@@ -37,23 +39,45 @@ import numpy as np
 _NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 
+@functools.cache
+def _openblas(verb: str):
+    """numpy's OpenBLAS scipy_openblas_{verb}_num_threads64_ (verb "get" or
+    "set"), typed and looked up once, or None when its library or the symbol cannot be found."""
+    try:
+        lib = ctypes.CDLL(str(min(_NUMPY_LIBS.glob("libscipy_openblas*.so"))))
+        fn = getattr(lib, f"scipy_openblas_{verb}_num_threads64_")
+    except (ValueError, OSError, AttributeError):  # no library file, not a library, no symbol
+        return None
+    fn.argtypes, fn.restype = ((), ctypes.c_int) if verb == "get" else ((ctypes.c_int,), None)
+    return fn
+
+
 def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS bundled with numpy's wheel, or None
-    when its library or its getter cannot be found."""
-    for lib in sorted(_NUMPY_LIBS.glob("libscipy_openblas*.so")):
-        try:
-            getter = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            return None
-        getter.argtypes, getter.restype = (), ctypes.c_int
-        return getter()
-    return None
+    """The thread count of numpy's OpenBLAS, or None when its library or
+    its getter cannot be found."""
+    getter = _openblas("get")
+    return None if getter is None else getter()
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block at one OpenBLAS thread, then restore the count however
+    it ends; without the library, its getter or its setter, change nothing."""
+    threads, setter = blas_threads(), _openblas("set")
+    if threads is None or setter is None:
+        yield
+        return
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
 
 
 def fork_pays(n_tasks: int) -> bool:
     """Whether work of n_tasks sequential parts is split with a forked
     child: two or more parts, two or more CPUs, and a one-thread BLAS. A
-    thread count that cannot be read keeps the work in one process."""
+    count that cannot be read or set to one keeps the work in one process."""
     return n_tasks >= 2 and blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
 
 
@@ -121,12 +145,13 @@ def forked(work: Callable[[Peer], object], name: str,
     handler. The block gets the child's Peer, or None when a pipe or the
     fork cannot be made, and then no child and no pipe exists. When the
     block raises, the child is killed; either way both pipes are closed and
-    the child is reaped when the block ends.
+    the child is reaped when the block ends. Where libc has ``prctl``, the
+    kernel kills the child when this process dies.
 
     With cpus, this process runs on cpus[0] and the child on cpus[1], so
     that the scheduler never wakes one of them onto the other's CPU; this
     process's CPU set is restored when the block ends."""
-    own = os.sched_getaffinity(0)
+    own, parent_pid = os.sched_getaffinity(0), os.getpid()
     fds: list[int] = []
     try:
         fds += os.pipe()
@@ -141,6 +166,11 @@ def forked(work: Callable[[Peer], object], name: str,
     if pid == 0:
         code = 1
         try:
+            prctl = getattr(ctypes.CDLL(None), "prctl", None)
+            if prctl is not None:  # PR_SET_PDEATHSIG: die with the parent, or now if it is gone
+                prctl(1, ctypes.c_ulong(signal.SIGKILL))
+                if os.getppid() != parent_pid:
+                    os._exit(1)
             os.close(from_child)
             os.close(to_child)
             if cpus:

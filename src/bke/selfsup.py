@@ -233,63 +233,58 @@ def _worker_steps(images: np.ndarray, scale: float, bundle: ModelBundle, config:
     parent.signal()
 
 
-class _SplitStep:
-    """The parent's side of a split Phase I, called as the step: the
-    online network's step on the worker's views and z2, then theta
-    published for the worker."""
-
-    def __init__(self, bundle: ModelBundle, optimizer: SgdMomentum, shared: _SharedArrays,
-                 worker: procs.Peer) -> None:
-        self.bundle, self.optimizer, self.shared = bundle, optimizer, shared
-        self.worker = worker
-        self.t = 0
-
-    def __call__(self, epoch: int, batch: list[int]) -> SslBatchOutputs:
-        t, where = self.t, f"at epoch {epoch}, batch starting {batch[0]}"
-        v1, v2, z2 = self.shared.slot(t, len(batch))
-        self.worker.wait(2 * t + 1, where)
-
-        def target() -> np.ndarray:
-            self.worker.wait(2 * t + 2, where)
-            return z2
-
-        try:
-            out = _online_step(self.bundle, self.optimizer, v1, v2, target)
-        except Exception:
-            target()  # a failure of the worker's in this step comes first in serial order
-            raise
-        self.shared.put_theta(self.bundle, "online")
-        self.worker.signal()
-        self.t += 1
-        return out
-
-    def finish(self) -> None:
-        """Take the target network the worker's last EMA left."""
-        self.worker.wait(2 * self.t + 1, "at the end of the last epoch")
-        for group, params in self.shared.theta.items():
-            setattr(self.bundle, "target_" + group,
-                    {name: value.copy() for name, value in params.items()})
-
-
 @contextlib.contextmanager
-def _split_step(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
-                optimizer: SgdMomentum) -> Iterator[_SplitStep | None]:
-    """The parent's step of a Phase I split over two processes, or None
-    when the run stays in this one: when ``procs.fork_pays`` says no for
-    its number of steps, when the CPU set is not a pair, or when the worker
-    cannot be made."""
+def _steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
+           optimizer: SgdMomentum) -> Iterator[Callable[[int, list[int]], SslBatchOutputs]]:
+    """Phase I's step(epoch, batch): ``ssl_step`` in this process, or, when
+    ``procs.fork_pays`` allows for the number of steps, the CPU set is a
+    pair and the worker can be made, the online network's step on the views
+    and z2 of a forked worker (``_worker_steps``), which then gets theta and,
+    after the last step, gives back the target network its last EMA left."""
+
+    def serial_step(epoch: int, batch: list[int]) -> SslBatchOutputs:
+        states = substream_states(batch, config.seed, "augment", epoch)
+        return ssl_step(bundle, np.divide(images[batch], scale, dtype=np.float64),
+                        config, optimizer, states)
+
     n_steps = config.epochs * math.ceil(len(images) / config.batch_size)
     cpus = procs.cpu_pair()
     if cpus is None or not procs.fork_pays(n_steps):
-        yield None
+        yield serial_step
         return
     shared = _SharedArrays(bundle, min(config.batch_size, len(images)), images.shape[-1])
+    t = 0
+
+    def split_step(epoch: int, batch: list[int]) -> SslBatchOutputs:
+        nonlocal t
+        where = f"at epoch {epoch}, batch starting {batch[0]}"
+        v1, v2, z2 = shared.slot(t, len(batch))
+        worker.wait(2 * t + 1, where)
+
+        def target() -> np.ndarray:
+            worker.wait(2 * t + 2, where)
+            return z2
+
+        try:
+            out = _online_step(bundle, optimizer, v1, v2, target)
+        except Exception:
+            target()  # a failure of the worker's in this step comes first in serial order
+            raise
+        shared.put_theta(bundle, "online")
+        worker.signal()
+        t += 1
+        return out
 
     def work(parent: procs.Peer) -> None:
         _worker_steps(images, scale, bundle, config, shared, parent)
 
     with procs.forked(work, "pretrain's worker process", cpus) as worker:
-        yield None if worker is None else _SplitStep(bundle, optimizer, shared, worker)
+        yield serial_step if worker is None else split_step
+        if worker is not None:
+            worker.wait(2 * t + 1, "at the end of the last epoch")
+            for group, params in shared.theta.items():
+                setattr(bundle, "target_" + group,
+                        {name: value.copy() for name, value in params.items()})
 
 
 def pretrain(
@@ -317,15 +312,9 @@ def pretrain(
     bundle = init_bundle(specs, config.seed)
     optimizer = SgdMomentum(config.learning_rate, config.momentum)
 
-    def serial_step(epoch: int, batch: list[int]) -> SslBatchOutputs:
-        states = substream_states(batch, config.seed, "augment", epoch)
-        return ssl_step(bundle, np.divide(images[batch], scale, dtype=np.float64),
-                        config, optimizer, states)
-
     history: list[SslEpochLog] = []
     flat_epochs = 0
-    with _split_step(images, scale, bundle, config, optimizer) as split:
-        step = serial_step if split is None else split
+    with _steps(images, scale, bundle, config, optimizer) as step:
         for epoch in range(config.epochs):
             sums = np.zeros(3)
             count = 0
@@ -352,8 +341,6 @@ def pretrain(
                     f"features collapsed: mean std < {COLLAPSE_STD_THRESHOLD:g} "
                     f"for {COLLAPSE_PATIENCE} consecutive epochs (through epoch {epoch})"
                 )
-        if split is not None:
-            split.finish()
 
     if checkpoint_path is not None:
         save_checkpoint(bundle, checkpoint_path)

@@ -19,6 +19,8 @@ from bke.data import read_container, read_split
 from bke.metrics import read_epoch_csv
 from bke.textio import read_float_matrix
 
+from test_procs import process_state
+
 DATA_DIR = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -702,6 +704,7 @@ def test_blas_thread_reader_reads_numpys_openblas():
 
 
 def test_blas_thread_reader_is_none_without_library_or_symbol(tmp_path, monkeypatch):
+    monkeypatch.setattr(procs, "_openblas", procs._openblas.__wrapped__)  # a lookup per case
     monkeypatch.setattr(procs, "_NUMPY_LIBS", tmp_path)
     assert procs.blas_threads() is None
     # a file of that name that is no library
@@ -710,6 +713,72 @@ def test_blas_thread_reader_is_none_without_library_or_symbol(tmp_path, monkeypa
     # a library without the getter
     monkeypatch.setattr(procs.ctypes, "CDLL", lambda path: object())
     assert procs.blas_threads() is None
+    with procs.one_blas_thread():
+        assert procs.blas_threads() is None
+
+    # a library with the getter but without the setter: the count stays
+    class GetterOnly:
+        @staticmethod
+        def scipy_openblas_get_num_threads64_():
+            return 2
+
+    monkeypatch.setattr(procs.ctypes, "CDLL", lambda path: GetterOnly())
+    with procs.one_blas_thread():
+        assert procs.blas_threads() == 2
+
+
+def test_main_runs_one_blas_thread_and_restores_the_callers_count(monkeypatch, capsys):
+    counts = []
+
+    def recording(cfg):
+        counts.append(procs.blas_threads())
+        if cfg["seed"]:
+            raise ValueError("recorded")
+        return 0
+
+    monkeypatch.setitem(COMMANDS, "gradcheck", (recording, COMMANDS["gradcheck"][1]))
+    caller, setter = procs.blas_threads(), procs._openblas("set")
+    setter(2)  # a count of the caller's other than 1, whatever OPENBLAS_NUM_THREADS says
+    try:
+        assert run("gradcheck", "--seed", 0) == 0
+        assert procs.blas_threads() == 2
+        assert run("gradcheck", "--seed", 1) == 1
+        assert procs.blas_threads() == 2
+    finally:
+        setter(caller)
+    assert counts == [1, 1]
+    assert capsys.readouterr().err == "error: recorded\n"
+
+
+def test_artifacts_are_the_same_at_every_openblas_num_threads(tmp_path):
+    # at the default batch sizes, a two-thread BLAS summed the checkpoints'
+    # GEMMs in another order; the CSVs matched even then
+    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 100, "--test-per-class", 30,
+               "--seed", 3) == 0
+    commands = [["pretrain", "--data", "../ds", "--out", "pre", "--epochs", "2", "--seed", "1"],
+                ["finetune", "--data", "../ds", "--checkpoint", "pre/checkpoint.bkec",
+                 "--out", "ft", "--epochs", "2", "--seed", "1"]]
+    runs = {}
+    for threads in (None, "1", "2"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        work = tmp_path / f"threads_{threads}"
+        work.mkdir()
+        stdout = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "bke.cli", *argv], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, ""), (threads, argv[0], proc.stderr)
+            stdout.append(proc.stdout)
+        files = {str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(work.rglob("*")) if path.is_file()}
+        runs[threads] = stdout, files
+    assert sorted(runs[None][1]) == ["ft/config.json", "ft/metrics.csv", "ft/model.bkec",
+                                     "ft/report.json", "pre/checkpoint.bkec",
+                                     "pre/config.json", "pre/pretrain_loss.csv"]
+    assert runs[None] == runs["1"] == runs["2"]
 
 
 IDENTITY_SCRIPT = """
@@ -1010,15 +1079,6 @@ os.fork = reporting_fork
 cli.main(["pretrain", "--data", "ds", "--out", "pre", "--epochs", "1000", "--batch-size", "8",
           "--seed", "5"])
 """
-
-
-def process_state(pid):
-    """The state letter in /proc/<pid>/stat, or None when there is no such process."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return None
-    return stat.rpartition(")")[2].split()[0]
 
 
 def test_phase_one_worker_exits_when_its_parent_is_killed(tmp_path):

@@ -1,12 +1,28 @@
 import errno
+import hashlib
 import os
 import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bke import procs
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def process_state(pid):
+    """The state letter in /proc/<pid>/stat, or None when there is no such process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rpartition(")")[2].split()[0]
 
 
 def test_forked_pins_each_process_to_its_cpu_and_restores_the_set():
@@ -95,3 +111,73 @@ def test_events_name_a_pipe_closed_without_a_failure():
         with pytest.raises(RuntimeError, match=re.escape(message)):
             child.wait(2, "at its second event")
     assert child.exit_code == 3
+
+
+ORPHAN_SCRIPT = """
+import time
+from bke import procs
+
+with procs.forked(lambda parent: time.sleep(30), "the child") as child:
+    print(child.pid, flush=True)
+    child.wait(1, "before its first event")
+"""
+
+
+def test_forked_child_dies_with_its_parent():
+    # a zombie still answers kill(pid, 0), so the state is read from /proc
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+    deadline = time.monotonic() + 2
+    while process_state(child) not in (None, "Z", "X") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    state = process_state(child)
+    if state not in (None, "Z", "X"):
+        os.kill(child, signal.SIGKILL)
+    assert state in (None, "Z", "X")
+
+
+GEMM_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from bke import procs
+
+a = np.random.default_rng(0).standard_normal((600, 600))
+if sys.argv[1] == "plain":
+    print(hashlib.sha256((a @ a).tobytes()).hexdigest())
+    sys.exit()
+a @ a  # the pool runs at the process's own count first
+with procs.one_blas_thread():
+    [theirs] = procs.shared_arrays([a.shape])
+
+    def work(parent):
+        theirs[...] = a @ a
+        parent.signal()
+
+    with procs.forked(work, "the child") as child:
+        ours = a @ a
+        child.wait(1, "before its product")
+print(hashlib.sha256(ours.tobytes()).hexdigest(), hashlib.sha256(theirs.tobytes()).hexdigest())
+"""
+
+
+def test_fork_after_one_blas_thread_computes_the_bits_of_one_thread():
+    # the setter leaves OpenBLAS's pool thread alive; its atfork handler
+    # stops the pool, so neither process may hang or sum in another order
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def gemm(mode, **threads):
+        proc = subprocess.run([sys.executable, "-c", GEMM_SCRIPT, mode], env={**env, **threads},
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout.split()
+
+    [one_thread] = gemm("plain", OPENBLAS_NUM_THREADS="1")
+    assert gemm("forked") == [one_thread, one_thread]
