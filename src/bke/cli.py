@@ -323,8 +323,8 @@ def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterab
     and writes each (hm, acc) to shared memory while this process trains
     the rest. The first point the child left without a result gets the
     child's exception, or an error naming the child's points and its exit
-    status. When the child cannot be made, this process trains every
-    point itself."""
+    status. When a fork does not pay by the rule in ``procs`` or the child
+    cannot be made, this process trains every point itself."""
     half = len(labels) // 2
     [results] = procs.shared_arrays([(half, 2)])
 
@@ -334,7 +334,7 @@ def _forked_outcomes(train: Callable[[int], tuple], labels: list[str]) -> Iterab
             parent.signal()
 
     name = f"the sweep's child process for {', '.join(labels[:half])}"
-    with procs.forked(child, name) as worker:
+    with procs.forked(child, name, len(labels)) as worker:
         if worker is None:
             return _outcomes(train, range(len(labels)))
         ours = list(_outcomes(train, range(half, len(labels))))
@@ -364,12 +364,8 @@ def _cmd_sweep(cfg: dict) -> int:
             raise CollapseError(f"{labels[i]}: {exc}") from exc
         return report.means["hm"], report.means["acc"]
 
-    if procs.fork_pays(len(grid)):
-        outcomes = _forked_outcomes(train, labels)
-    else:
-        outcomes = _outcomes(train, range(len(grid)))
     rows = []
-    for value, label, outcome in zip(grid, labels, outcomes):
+    for value, label, outcome in zip(grid, labels, _forked_outcomes(train, labels)):
         if isinstance(outcome, Exception):
             raise outcome
         hm, acc = outcome

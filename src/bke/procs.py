@@ -1,24 +1,24 @@
 """Process control for the work that runs on two CPUs: numpy's OpenBLAS
-thread count, the rule that says when a fork pays and which two CPUs to
-pin, and a forked child that exchanges events with its parent through two
-pipes and arrays through shared memory, is killed and reaped on every exit
-path, and dies with its parent.
+thread count, and a forked child that exchanges events with its parent
+through two pipes and arrays through shared memory, is killed and reaped
+on every exit path, and dies with its parent. The rule that says when a
+fork pays is known here alone: ``forked`` applies it.
 
 ``cli.main`` runs every command at one OpenBLAS thread (``one_blas_thread``)
 whatever ``OPENBLAS_NUM_THREADS`` says, since at another count BLAS may sum
-in another order; library callers keep their own count. ``bke sweep`` and
-Phase I (``pretrain``) fork one child only at one BLAS thread, for two or
-more grid points or steps, on two or more CPUs (``fork_pays``): at one
-thread per core, two processes oversubscribe the cores. The fork is safe:
-numpy's OpenBLAS stops its thread pool in a ``pthread_atfork`` handler
-before every fork, and the child inherits the one-thread setting, so it
-computes the parent's bits and both ways write the same bytes. Phase I
-also needs a CPU set of exactly two CPUs (``cpu_pair``) and pins one
-process to each: unpinned, a worker asleep in its read was woken onto the
-busy parent's CPU, which made the run slower than one process. A larger
-set would give every run started beside this one the same two CPUs, so it
-keeps Phase I in one process (``taskset -c 2,3 bke pretrain ...`` gives a
-run its own pair). Without a pipe or a fork, the work runs in one process.
+in another order; library callers keep their own count. ``forked`` makes a
+child only at one BLAS thread, for two or more tasks (grid points or
+steps), on two or more CPUs: at one thread per core, two processes
+oversubscribe the cores. The fork is safe: numpy's OpenBLAS stops its
+thread pool in a ``pthread_atfork`` handler before every fork, and the
+child inherits the one-thread setting, so it computes the parent's bits
+and both ways write the same bytes. A pinned fork (Phase I's) also needs
+a CPU set of exactly two CPUs and pins one process to each: unpinned, a
+worker asleep in its read was woken onto the busy parent's CPU, which
+made the run slower than one process. A larger set would give every run
+started beside this one the same two CPUs, so it keeps Phase I in one
+process (``taskset -c 2,3 bke pretrain ...`` gives a run its own pair).
+Without a pipe or a fork, the work runs in one process too.
 """
 
 from __future__ import annotations
@@ -74,19 +74,12 @@ def one_blas_thread() -> Iterator[None]:
         setter(threads)
 
 
-def fork_pays(n_tasks: int) -> bool:
+def _fork_pays(n_tasks: int, pin: bool) -> bool:
     """Whether work of n_tasks sequential parts is split with a forked
-    child: two or more parts, two or more CPUs, and a one-thread BLAS. A
-    count that cannot be read or set to one keeps the work in one process."""
-    return n_tasks >= 2 and blas_threads() == 1 and len(os.sched_getaffinity(0)) >= 2
-
-
-def cpu_pair() -> tuple[int, int] | None:
-    """The two CPUs of this process's set when it holds exactly two, else
-    None. Such a set was chosen for this process (say with ``taskset``),
-    so pinning one process to each CPU takes no CPU from another run."""
-    cpus = sorted(os.sched_getaffinity(0))
-    return (cpus[0], cpus[1]) if len(cpus) == 2 else None
+    child (the rule in the module docstring). A BLAS count that cannot be
+    read or set to one keeps the work in one process."""
+    cpus = len(os.sched_getaffinity(0))
+    return n_tasks >= 2 and blas_threads() == 1 and (cpus == 2 if pin else cpus >= 2)
 
 
 class Peer:
@@ -136,21 +129,25 @@ class Peer:
 
 
 @contextlib.contextmanager
-def forked(work: Callable[[Peer], object], name: str,
-           cpus: tuple[int, int] | None = None) -> Iterator[Peer | None]:
+def forked(work: Callable[[Peer], object], name: str, n_tasks: int,
+           pin: bool = False) -> Iterator[Peer | None]:
     """Run work(parent) in a forked child named name, with parent the Peer
     of this process. The child ends with ``os._exit``: status 0 when work
     returns, and 1 when it raises, after it sends its exception to this
     process; there is no flush of the parent's buffered output and no exit
-    handler. The block gets the child's Peer, or None when a pipe or the
-    fork cannot be made, and then no child and no pipe exists. When the
-    block raises, the child is killed; either way both pipes are closed and
-    the child is reaped when the block ends. Where libc has ``prctl``, the
-    kernel kills the child when this process dies.
+    handler. The block gets the child's Peer, or None when a fork does not
+    pay for work of n_tasks sequential parts (see the module docstring) or
+    a pipe or the fork cannot be made; then no child and no pipe exists.
+    When the block raises, the child is killed; either way both pipes are
+    closed and the child is reaped when the block ends. Where libc has
+    ``prctl``, the kernel kills the child when this process dies.
 
-    With cpus, this process runs on cpus[0] and the child on cpus[1], so
-    that the scheduler never wakes one of them onto the other's CPU; this
-    process's CPU set is restored when the block ends."""
+    With pin, this process runs on the lowest CPU of its set and the child
+    on the highest, so that the scheduler never wakes one of them onto the
+    other's CPU; this process's CPU set is restored when the block ends."""
+    if not _fork_pays(n_tasks, pin):
+        yield None
+        return
     own, parent_pid = os.sched_getaffinity(0), os.getpid()
     fds: list[int] = []
     try:
@@ -173,8 +170,8 @@ def forked(work: Callable[[Peer], object], name: str,
                     os._exit(1)
             os.close(from_child)
             os.close(to_child)
-            if cpus:
-                os.sched_setaffinity(0, {cpus[1]})
+            if pin:
+                os.sched_setaffinity(0, {max(own)})
             parent = Peer("the parent process", None, from_parent, to_parent)
             try:
                 work(parent)
@@ -187,8 +184,8 @@ def forked(work: Callable[[Peer], object], name: str,
     os.close(from_parent)
     child = Peer(name, pid, from_child, to_child)
     try:
-        if cpus:
-            os.sched_setaffinity(0, {cpus[0]})
+        if pin:
+            os.sched_setaffinity(0, {min(own)})
         yield child
     except BaseException:
         if child.exit_code is None:
@@ -208,6 +205,7 @@ def shared_arrays(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     anonymous shared mapping: a child forked after the call shares them
     with this process."""
     sizes = [math.prod(shape) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    # a mapping cannot be empty, so shapes of no element still map one float
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(sum(sizes), 1)), dtype=np.float64)
     ends = np.cumsum(sizes)
     return [flat[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]

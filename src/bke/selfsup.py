@@ -237,10 +237,10 @@ def _worker_steps(images: np.ndarray, scale: float, bundle: ModelBundle, config:
 def _steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslConfig,
            optimizer: SgdMomentum) -> Iterator[Callable[[int, list[int]], SslBatchOutputs]]:
     """Phase I's step(epoch, batch): ``ssl_step`` in this process, or, when
-    ``procs.fork_pays`` allows for the number of steps, the CPU set is a
-    pair and the worker can be made, the online network's step on the views
-    and z2 of a forked worker (``_worker_steps``), which then gets theta and,
-    after the last step, gives back the target network its last EMA left."""
+    ``procs.forked`` makes a pinned worker for the steps, the online
+    network's step on the views and z2 of that worker (``_worker_steps``),
+    which then gets theta and, after the last step, gives back the target
+    network its last EMA left."""
 
     def serial_step(epoch: int, batch: list[int]) -> SslBatchOutputs:
         states = substream_states(batch, config.seed, "augment", epoch)
@@ -248,10 +248,6 @@ def _steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslCon
                         config, optimizer, states)
 
     n_steps = config.epochs * math.ceil(len(images) / config.batch_size)
-    cpus = procs.cpu_pair()
-    if cpus is None or not procs.fork_pays(n_steps):
-        yield serial_step
-        return
     shared = _SharedArrays(bundle, min(config.batch_size, len(images)), images.shape[-1])
     t = 0
 
@@ -278,7 +274,7 @@ def _steps(images: np.ndarray, scale: float, bundle: ModelBundle, config: SslCon
     def work(parent: procs.Peer) -> None:
         _worker_steps(images, scale, bundle, config, shared, parent)
 
-    with procs.forked(work, "pretrain's worker process", cpus) as worker:
+    with procs.forked(work, "pretrain's worker process", n_steps, pin=True) as worker:
         yield serial_step if worker is None else split_step
         if worker is not None:
             worker.wait(2 * t + 1, "at the end of the last epoch")
@@ -299,10 +295,10 @@ def pretrain(
     converted a batch at a time as ``p / 255.0``, the values
     ``DatasetContainer.images_at`` gives.
 
-    The steps run in one process or, when ``procs.fork_pays`` allows, in
-    two (see the module docstring), with the same results either way. A
-    failure reads as in one process: within a step the first in serial
-    order wins, views, then target, then online network."""
+    The steps run in one process or, when a fork pays by the rule in
+    ``procs``, in two (see the module docstring), with the same results
+    either way. A failure reads as in one process: within a step the first
+    in serial order wins, views, then target, then online network."""
     images = np.asarray(images)
     scale = 255.0 if images.dtype == np.uint8 else 1.0
     if images.ndim != 4 or len(images) == 0:

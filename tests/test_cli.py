@@ -683,21 +683,6 @@ def test_sweep_rejects_bad_grid_value(tmp_path, capsys):
 # --- sweep in two processes ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("cpus,threads,points,forks", [
-    ({0}, 1, 5, False),          # one CPU
-    ({0, 1}, 2, 5, False),       # a two-thread BLAS would oversubscribe the cores
-    ({0, 1}, None, 5, False),    # BLAS thread count unknown
-    ({0, 1}, 1, 1, False),       # one grid point
-    ({0, 1}, 1, 2, True),
-    ({0, 1, 2, 3}, 1, 5, True),
-])
-def test_sweep_forks_only_on_two_cpus_at_one_blas_thread(monkeypatch, cpus, threads, points,
-                                                          forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(procs, "blas_threads", lambda: threads)
-    assert procs.fork_pays(points) is forks
-
-
 def test_blas_thread_reader_reads_numpys_openblas():
     threads = procs.blas_threads()
     assert type(threads) is int and threads >= 1
@@ -808,7 +793,7 @@ result = {"blas_threads": procs.blas_threads(), "forked": {}, "serial": {}}
 for param in cli.DEFAULT_GRIDS:
     result["forked"][param] = sweep(param)
 result["forks"] = len(forks)
-procs.fork_pays = lambda n: False
+procs._fork_pays = lambda n_tasks, pin: False
 for param in cli.DEFAULT_GRIDS:
     result["serial"][param] = sweep(param)
 result["forks_after_serial"] = len(forks)
@@ -867,7 +852,7 @@ def failed_sweep(tmp_path, capsys, monkeypatch, sweep_inputs, forked, *grid):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(procs, "fork_pays", lambda n: forked and n >= 2)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: forked and n_tasks >= 2)
     prefix, checkpoint = sweep_inputs
     out = tmp_path / ("forked" if forked else "serial")
     assert run("sweep", "--data", prefix, "--checkpoint", checkpoint, "--out", out,
@@ -927,7 +912,7 @@ def test_sweep_parent_interrupted_kills_and_reaps_its_child(tmp_path, monkeypatc
         time.sleep(60)
 
     monkeypatch.setattr(cli, "finetune", stuck)
-    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: True)
     prefix, checkpoint = sweep_inputs
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
@@ -949,7 +934,6 @@ import numpy as np
 from bke import cli, procs, selfsup
 
 cpus = os.sched_getaffinity(0)
-procs.cpu_pair = lambda: (min(cpus), max(cpus))  # so hosts without exactly two CPUs split too
 forks = []
 fork = os.fork
 def counting_fork():
@@ -991,7 +975,7 @@ def at_step(name, fault, step=3):
 
 def pretrain(case, forked):
     args, faults = CASES[case]
-    procs.fork_pays = lambda n: forked
+    procs._fork_pays = lambda n_tasks, pin: forked
     for name, fault in faults.items():
         at_step(name, fault)
     del forks[:]
@@ -1063,12 +1047,10 @@ def test_forked_phase_one_matches_serial_phase_one(tmp_path):
 
 
 KILLED_PARENT_SCRIPT = """
-import os
+import os, sys
 from bke import cli, procs
 
-cpus = os.sched_getaffinity(0)
-procs.cpu_pair = lambda: (min(cpus), max(cpus))  # so hosts without exactly two CPUs split too
-procs.fork_pays = lambda n: True
+procs._fork_pays = lambda n_tasks, pin: True  # whatever the CPU set
 fork = os.fork
 def reporting_fork():
     pid = fork()
@@ -1076,33 +1058,46 @@ def reporting_fork():
         print(pid, flush=True)
     return pid
 os.fork = reporting_fork
-cli.main(["pretrain", "--data", "ds", "--out", "pre", "--epochs", "1000", "--batch-size", "8",
-          "--seed", "5"])
+cli.main(sys.argv[1:])
 """
 
 
-def test_phase_one_worker_exits_when_its_parent_is_killed(tmp_path):
+def kill_parent_mid_run(tmp_path, *argv):
+    """Run a bke command that forks, SIGKILL it well into the run, and
+    assert that its child exits too and that no --out directory is left."""
     # a zombie still answers kill(pid, 0), so the state is read from /proc
-    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 30, "--test-per-class", 10,
-               "--seed", 3) == 0
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.Popen([sys.executable, "-c", KILLED_PARENT_SCRIPT], cwd=tmp_path,
-                            env=env, stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_PARENT_SCRIPT, *map(str, argv)],
+                            cwd=tmp_path, env=env, stdout=subprocess.PIPE, text=True)
     try:
-        worker = int(proc.stdout.readline())
+        child = int(proc.stdout.readline())
         time.sleep(0.5)  # well into the run
     finally:
         proc.kill()
         proc.wait(timeout=30)
         proc.stdout.close()
     deadline = time.monotonic() + 5
-    while process_state(worker) not in (None, "Z", "X") and time.monotonic() < deadline:
+    while process_state(child) not in (None, "Z", "X") and time.monotonic() < deadline:
         time.sleep(0.05)
-    state = process_state(worker)
+    state = process_state(child)
     if state not in (None, "Z", "X"):
-        os.kill(worker, signal.SIGKILL)
+        os.kill(child, signal.SIGKILL)
     assert state in (None, "Z", "X")
-    assert not (tmp_path / "pre").exists()
+    assert not (tmp_path / "out").exists() and list(tmp_path.rglob("*.partial")) == []
+
+
+def test_phase_one_worker_exits_when_its_parent_is_killed(tmp_path):
+    assert run("synth", "--out", tmp_path / "ds", "--n-per-class", 30, "--test-per-class", 10,
+               "--seed", 3) == 0
+    kill_parent_mid_run(tmp_path, "pretrain", "--data", "ds", "--out", "out", "--epochs", 1000,
+                        "--batch-size", 8, "--seed", 5)
+
+
+def test_sweep_child_exits_when_its_parent_is_killed(tmp_path, sweep_inputs):
+    prefix, checkpoint = sweep_inputs
+    kill_parent_mid_run(tmp_path, "sweep", "--data", prefix, "--checkpoint", checkpoint,
+                        "--out", "out", "--param", "tau", "--values", "1,2",
+                        "--epochs", 100000)
 
 
 # --- one process, many calls ------------------------------------------------------
@@ -1184,7 +1179,7 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
         shutil.rmtree(out)
         return code, capsys.readouterr().out, files
 
-    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: False)
     serial = sweep()
     assert serial[0] == 0 and len(serial[1].splitlines()) == len(DEFAULT_GRIDS["tau"]) + 1
     assert sorted(serial[2]) == ["config.json", "sweep.csv"]
@@ -1203,7 +1198,7 @@ def test_sweep_that_cannot_fork_trains_serially(tmp_path, capsys, monkeypatch, s
 
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: True)
     for n_pipes in (2, 0, 1):  # the fork fails, then the first pipe, then the second
         made[:], pipes[:], forks[:] = [n_pipes], [], []
         assert sweep() == serial

@@ -14,6 +14,13 @@ import pytest
 from bke import procs
 
 ROOT = Path(__file__).resolve().parent.parent
+FORK_PAYS = procs._fork_pays
+
+
+@pytest.fixture(autouse=True)
+def fork_pays(monkeypatch):
+    """A fork that pays, whatever the CPU set and the caller's BLAS count."""
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: True)
 
 
 def process_state(pid):
@@ -25,20 +32,56 @@ def process_state(pid):
     return stat.rpartition(")")[2].split()[0]
 
 
+@pytest.mark.parametrize("cpus,threads,n_tasks,pin,forks", [
+    ({0}, 1, 5, False, False),             # one CPU
+    ({0, 1}, 2, 5, False, False),          # a two-thread BLAS would oversubscribe the cores
+    ({0, 1}, None, 5, False, False),       # BLAS thread count unknown
+    ({0, 1}, 1, 1, False, False),          # one task
+    ({0, 1}, 1, 2, False, True),
+    ({0, 1, 2, 3}, 1, 5, False, True),
+    ({3, 5}, 1, 5, True, True),
+    ({1, 0}, 1, 5, True, True),
+    ({0}, 1, 5, True, False),
+    ({0, 1, 2}, 1, 5, True, False),        # runs started side by side on a larger set
+    (set(range(64)), 1, 5, True, False),   # would all pin the same two
+    ({0, 1}, 2, 5, True, False),
+    ({0, 1}, 1, 1, True, False),
+])
+def test_forked_forks_only_where_the_rule_allows(monkeypatch, cpus, threads, n_tasks, pin,
+                                                  forks):
+    # a fork that pays is made to fail, so no CPU of the made-up set is pinned
+    calls = []
+    pipe = os.pipe
+
+    def failing_fork():
+        calls.append("fork")
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(procs, "_fork_pays", FORK_PAYS)
+    monkeypatch.setattr(procs, "blas_threads", lambda: threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: calls.append("pin"))
+    monkeypatch.setattr(os, "pipe", lambda: calls.append("pipe") or pipe())
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with procs.forked(lambda parent: None, "the child", n_tasks, pin) as child:
+        assert child is None
+    assert calls == (["pipe", "pipe", "fork"] if forks else [])
+
+
 def test_forked_pins_each_process_to_its_cpu_and_restores_the_set():
+    # this process runs on the lowest CPU of its set and the child on the highest
     cpus = os.sched_getaffinity(0)
-    pair = (min(cpus), max(cpus))
     [theirs] = procs.shared_arrays([(max(cpus) + 1,)])
 
     def work(parent):
         theirs[sorted(os.sched_getaffinity(0))] = 1.0
         parent.signal()
 
-    with procs.forked(work, "the child", pair) as child:
+    with procs.forked(work, "the child", 2, pin=True) as child:
         ours = os.sched_getaffinity(0)
         child.wait(1, "before it read its CPU set")
         assert child.reap() == 0
-    assert (ours, set(np.flatnonzero(theirs))) == ({pair[0]}, {pair[1]})
+    assert (ours, set(np.flatnonzero(theirs))) == ({min(cpus)}, {max(cpus)})
     assert os.sched_getaffinity(0) == cpus
 
 
@@ -48,26 +91,20 @@ def test_shared_arrays_are_zeroed_and_apart():
     assert not a.any() and not b.any()
     a[...] = 1.0
     assert not b.any()
-
-
-@pytest.mark.parametrize("cpus, pair", [({3, 5}, (3, 5)), ({1, 0}, (0, 1)), ({0}, None),
-                                        ({0, 1, 2}, None), (set(range(64)), None)])
-def test_cpu_pair_is_a_set_of_exactly_two(monkeypatch, cpus, pair):
-    # runs started side by side on a larger set would all pin the same two
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    assert procs.cpu_pair() == pair
+    [empty] = procs.shared_arrays([(0, 2)])  # a one-point sweep's child has no point
+    assert (empty.shape, empty.dtype) == ((0, 2), np.float64)
 
 
 def test_forked_child_that_raises_exits_1_and_a_block_that_raises_kills_it():
     def fail(parent):
         raise ValueError("in the child")
 
-    with procs.forked(fail, "the child") as child:
+    with procs.forked(fail, "the child", 2) as child:
         with pytest.raises(ValueError, match="in the child"):
             child.wait(1, "before its first event")
         assert child.reap() == 1
     with pytest.raises(KeyboardInterrupt):
-        with procs.forked(lambda parent: time.sleep(60), "the child") as child:
+        with procs.forked(lambda parent: time.sleep(60), "the child", 2) as child:
             raise KeyboardInterrupt
     assert child.exit_code == -9
     with pytest.raises(ChildProcessError):
@@ -79,7 +116,7 @@ def test_forked_yields_none_when_the_fork_fails(monkeypatch):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", failing_fork)
-    with procs.forked(lambda parent: None, "the child", (0, 1)) as child:
+    with procs.forked(lambda parent: None, "the child", 2, pin=True) as child:
         assert child is None
 
 
@@ -91,7 +128,7 @@ def test_events_count_signals_then_raise_the_peers_failure():
         parent.signal()
         raise FloatingPointError("conv2d produced non-finite values")
 
-    with procs.forked(work, "the child") as child:
+    with procs.forked(work, "the child", 2) as child:
         child.wait(2, "at its second event")
         child.signal()
         child.wait(3, "at its third event")  # the events before the failure still count
@@ -105,7 +142,7 @@ def test_events_name_a_pipe_closed_without_a_failure():
         parent.signal()
         os._exit(3)
 
-    with procs.forked(work, "the child") as child:
+    with procs.forked(work, "the child", 2) as child:
         child.wait(1, "at its first event")
         message = "the child exited with status 3 at its second event"
         with pytest.raises(RuntimeError, match=re.escape(message)):
@@ -117,7 +154,8 @@ ORPHAN_SCRIPT = """
 import time
 from bke import procs
 
-with procs.forked(lambda parent: time.sleep(30), "the child") as child:
+procs._fork_pays = lambda n_tasks, pin: True  # whatever the CPU set and the BLAS count
+with procs.forked(lambda parent: time.sleep(30), "the child", 2) as child:
     print(child.pid, flush=True)
     child.wait(1, "before its first event")
 """
@@ -148,6 +186,7 @@ import hashlib, sys
 import numpy as np
 from bke import procs
 
+procs._fork_pays = lambda n_tasks, pin: True  # whatever the CPU set
 a = np.random.default_rng(0).standard_normal((600, 600))
 if sys.argv[1] == "plain":
     print(hashlib.sha256((a @ a).tobytes()).hexdigest())
@@ -160,7 +199,7 @@ with procs.one_blas_thread():
         theirs[...] = a @ a
         parent.signal()
 
-    with procs.forked(work, "the child") as child:
+    with procs.forked(work, "the child", 2) as child:
         ours = a @ a
         child.wait(1, "before its product")
 print(hashlib.sha256(ours.tobytes()).hexdigest(), hashlib.sha256(theirs.tobytes()).hexdigest())

@@ -300,7 +300,7 @@ def test_pretrain_loss_trends_down():
 def serial(monkeypatch):
     """Phase I in one process, so a stub of ssl_step is the step at any
     BLAS thread count."""
-    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: False)
 
 
 def test_collapse_detector_trips_after_three_flat_epochs(monkeypatch, serial):
@@ -384,7 +384,7 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
     images = images_fixture(n=8)
     config = SslConfig(epochs=2, batch_size=4, learning_rate=0.05, zeta=0.9, seed=7)
     serial = tmp_path / "serial.bkec"
-    monkeypatch.setattr(procs, "fork_pays", lambda n: False)
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: False)
     _, expected = pretrain(images, config, specs=TINY, checkpoint_path=serial)
     pipes, forks, made = [], [], []  # made[0]: the pipes that open before EMFILE
     pipe = os.pipe
@@ -401,8 +401,7 @@ def test_pretrain_that_cannot_fork_runs_in_one_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", failing_fork)
-    monkeypatch.setattr(procs, "fork_pays", lambda n: True)
-    monkeypatch.setattr(procs, "cpu_pair", lambda: (0, 1))
+    monkeypatch.setattr(procs, "_fork_pays", lambda n_tasks, pin: True)
     cpus = os.sched_getaffinity(0)
     for n_pipes in (2, 0, 1):  # the fork fails, then the first pipe, then the second
         made[:], pipes[:], forks[:] = [n_pipes], [], []
@@ -426,7 +425,7 @@ def test_pretrain_on_more_than_two_cpus_runs_in_one_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(procs, "blas_threads", lambda: 1)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1))
-    assert procs.fork_pays(4) and procs.cpu_pair() is None
+    assert procs._fork_pays(4, pin=False) and not procs._fork_pays(4, pin=True)
     config = SslConfig(epochs=2, batch_size=4, learning_rate=0.05, zeta=0.9, seed=7)
     _, history = pretrain(images_fixture(n=8), config, specs=TINY)
     assert len(history) == 2 and forks == []

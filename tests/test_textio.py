@@ -192,10 +192,13 @@ def test_numpy_is_the_only_runtime_dependency():
 
 
 def test_process_control_lives_in_procs():
-    """Forking, reaping, killing and pinning processes, and the pipes and
-    shared memory between them, are procs.py's job, so every exit path of a
-    forked child is handled in one place."""
-    calls = {"fork", "_exit", "waitpid", "kill", "sched_setaffinity", "pipe"}
+    """Forking, reaping, killing and pinning processes, the rule that says
+    when a fork pays, and the pipes and shared memory between them, are
+    procs.py's job, so every exit path of a forked child is handled in one
+    place and no other module knows when to fork."""
+    calls = {"fork", "_exit", "waitpid", "kill", "sched_setaffinity", "sched_getaffinity",
+             "pipe"}
+    public = {"forked", "Peer", "shared_arrays", "one_blas_thread"}  # for the other modules
     src = Path(bke.__file__).parent
     found = set()
     for path in sorted(src.glob("*.py")):
@@ -205,6 +208,13 @@ def test_process_control_lives_in_procs():
                 found.add((path.name, node.attr))
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found |= {(path.name, alias.name) for alias in node.names if alias.name in calls}
+            if path.name != "procs.py" and (
+                    isinstance(node, ast.Attribute) and node.attr not in public
+                    and isinstance(node.value, ast.Name) and node.value.id == "procs"):
+                found.add((path.name, "procs." + node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("procs"):
+                found |= {(path.name, "procs." + alias.name) for alias in node.names
+                          if alias.name not in public}
             if isinstance(node, ast.Import | ast.ImportFrom) and "mmap" in (
                     getattr(node, "module", None), *(alias.name for alias in node.names)):
                 found.add((path.name, "import mmap"))
