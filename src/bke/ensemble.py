@@ -83,27 +83,19 @@ class SoftTargets:
 def similarity_matrix(features) -> np.ndarray:
     """Pairwise cosine similarities with an exactly-zero diagonal.
 
-    Computed on plain values: the graph feeds only the detached targets,
-    so it must never carry gradients.
+    The unit rows come from ``tensor.l2_normalize_rows``, at any scale.
+    They are computed on plain values: the graph feeds only the detached
+    targets, so it must never carry gradients.
     """
     feats = features.data if isinstance(features, T.Tensor) else np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise ValueError(f"similarity_matrix: expected (N, d) features, got {feats.shape}")
-    n = len(feats)
-    if n < 2:
+    if len(feats) < 2:
         raise ValueError("similarity_matrix: need at least 2 rows (no peer knowledge)")
-    with np.errstate(over="ignore"):
-        norms = np.sqrt((feats * feats).sum(axis=1))
-    # squares overflow above ~1e154 and vanish below ~1e-162; the cosine is
-    # scale-free, so such rows are divided by their largest |entry| first
-    rescale = ~np.isfinite(norms) | (norms == 0.0)
-    if np.any(rescale):
-        if not feats[rescale].any(axis=1).all():
-            raise ValueError("similarity_matrix: zero feature row")
-        feats = feats.copy()
-        feats[rescale] /= np.abs(feats[rescale]).max(axis=1, keepdims=True)
-        norms[rescale] = np.sqrt((feats[rescale] * feats[rescale]).sum(axis=1))
-    unit = feats / norms[:, None]
+    try:
+        unit = T.l2_normalize_rows(feats).data
+    except ValueError as err:  # on 2-D input, raised only for a zero row
+        raise ValueError("similarity_matrix: zero feature row") from err
     raw = unit @ unit.T
     np.fill_diagonal(raw, 0.0)
     return raw

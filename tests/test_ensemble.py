@@ -78,6 +78,25 @@ def test_similarity_matrix_accepts_tensor_and_matches_array():
     np.testing.assert_array_equal(got, similarity_matrix(feats))
 
 
+def test_similarity_matrix_takes_unit_rows_from_the_primitive(monkeypatch):
+    # one call on plain values, so a taped input puts no node on the tape
+    feats = np.random.default_rng(3).normal(size=(5, 3))
+    normalize, calls = T.l2_normalize_rows, []
+
+    def spy(x):
+        calls.append(x)
+        return normalize(x)
+
+    monkeypatch.setattr(T, "l2_normalize_rows", spy)
+    with T.Tape() as tape:
+        taped = tape.leaf(feats)
+        before = len(tape)
+        similarity_matrix(taped)
+        assert len(tape) == before
+    assert len(calls) == 1 and type(calls[0]) is np.ndarray
+    np.testing.assert_array_equal(calls[0], feats)
+
+
 def test_similarity_matrix_rejects_degenerate_input():
     with pytest.raises(ValueError, match="peer"):
         similarity_matrix(np.ones((1, 4)))

@@ -93,6 +93,13 @@ def test_loss_bounds(a, b):
         assert -1e-12 <= value <= 4.0 + 1e-12
 
 
+def test_losses_of_identical_huge_rows_are_zero():
+    # the squares of a 1e200 row overflow; the cosine is scale-free
+    q = np.array([[1e200, 0.0], [1.0, 2.0]])
+    assert cross_view_loss(q, q.copy()).item() == pytest.approx(0.0, abs=1e-12)
+    assert cross_model_loss(q, q.copy()).item() == pytest.approx(0.0, abs=1e-12)
+
+
 def test_loss_zero_row_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
         cross_view_loss(np.zeros((2, 3)), np.ones((2, 3)))
@@ -107,7 +114,6 @@ def test_cross_view_gradient_flows_through_both_args():
         lambda p: cross_view_loss(p["q1"], p["q1p"]), params
     )
     assert report.passed, f"max rel err {report.max_rel_err}"
-    assert all(err >= 0.0 for err in report.per_param.values())
     with T.Tape() as tape:
         q1 = tape.leaf(params["q1"])
         q1p = tape.leaf(params["q1p"])

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -296,6 +297,31 @@ def test_softmax_requires_positive_tau():
 def test_l2_normalize_rejects_zero_row():
     with pytest.raises(ValueError, match="zero-norm"):
         T.l2_normalize_rows([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_l2_normalize_rows_is_scale_free(scale):
+    # squared entries overflow (1e200) or underflow to 0 (1e-170); on the
+    # whole batch or on one row, the unit rows must not notice, and the
+    # gradient only shrinks by the row's scale
+    rng = np.random.default_rng(17)
+    x, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+    def unit_and_grad(v):
+        with T.Tape() as tape:
+            leaf = tape.leaf(v)
+            out = T.l2_normalize_rows(leaf)
+            grads = tape.backward(T.mean_all(T.mul(out, g)))
+        return out.data, grads[leaf.node_id].data
+
+    want_unit, want_grad = unit_and_grad(x)
+    one_row = np.array([scale, 1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row_scale in (np.full(4, scale), one_row):
+            unit, grad = unit_and_grad(x * row_scale[:, None])
+            np.testing.assert_allclose(unit, want_unit, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grad * row_scale[:, None], want_grad, rtol=1e-12)
 
 
 def test_log_rejects_nonpositive():

@@ -191,6 +191,28 @@ def test_numpy_is_the_only_runtime_dependency():
     assert tops - set(sys.stdlib_module_names) <= {"numpy", "bke"}
 
 
+def _is_row_sum(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sum"
+            and any(kw.arg == "axis" and isinstance(kw.value, ast.Constant) and kw.value.value == 1
+                    for kw in node.keywords))
+
+
+def test_row_norms_live_in_tensor():
+    """Only tensor.py takes np.sqrt of a .sum(axis=1), so the scale-free
+    row rule of l2_normalize_rows has one copy, which both phases use."""
+    src = Path(bke.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sqrt" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                    and any(_is_row_sum(sub) for arg in node.args for sub in ast.walk(arg))):
+                found.add(path.name)
+    assert found == {"tensor.py"}
+
+
 def test_process_control_lives_in_procs():
     """Forking, reaping, killing and pinning processes, the rule that says
     when a fork pays, and the pipes and shared memory between them, are
